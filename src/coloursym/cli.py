@@ -21,9 +21,9 @@ from .equivariant import (
     FixedPointFreeInvolution,
     assembled_graph_json_dict,
     build_pair_colouring,
-    group_from_perms,
     make_orbit_spec,
     sym_complement,
+    symmetric_group,
     verify_colour_group,
 )
 from .graphs import (
@@ -34,7 +34,7 @@ from .graphs import (
     saturate,
     witness_queries,
 )
-from .perms import cycle_string, double_coset_lower_bound, enumerate_sym
+from .perms import cycle_string, double_coset_lower_bound
 from .spin import (
     COVER_ENUM_MAX_M,
     CoverKind,
@@ -154,7 +154,7 @@ def cmd_complement(args: argparse.Namespace) -> RunReport:
             )
             report.check("graph-written", True, args.out)
     else:
-        G = group_from_perms(enumerate_sym(m))
+        G = symmetric_group(m)
         witness = None
         try:
             build_pair_colouring(G, args.seed)
@@ -186,6 +186,15 @@ def cmd_supplement(args: argparse.Namespace) -> RunReport:
         seed=args.seed,
     )
     m = args.m
+    if m > COVER_ENUM_MAX_M and m % 2 == 1:
+        report.check(
+            "supplement-condition",
+            True,
+            f"m={m} is odd: every colour involution fixes a colour, so none can "
+            f"block the {kind.value} cover; the orbit construction was not run "
+            f"(covers are enumerated only for m <= {COVER_ENUM_MAX_M})",
+        )
+        return report
     if m > COVER_ENUM_MAX_M:
         for k in (CoverKind.TILDE, CoverKind.HAT):
             ok = supplement_condition_direct(m, k)

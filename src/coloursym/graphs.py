@@ -33,6 +33,7 @@ from .perms import (
 )
 
 OBSTRUCTION_GUARD = 7  # n! vertex permutations are enumerated; 7! is the ceiling
+ROW_BLOCK_ENTRIES = 1 << 20  # whole-matrix scans work on row blocks of about this size
 
 
 class WitnessMissingError(RuntimeError):
@@ -60,8 +61,9 @@ class ColouredGraph:
                 raise ValueError("diagonal must be zero (no self-pairs)")
             if not np.array_equal(C, C.T):
                 raise ValueError("colour matrix must be symmetric")
-            off = C[~np.eye(self.n, dtype=bool)]
-            if off.size and (off.min() < 1 or off.max() > self.m):
+            # with a zero diagonal, off-diagonal colours lie in 1..m exactly
+            # when none is negative, none exceeds m and none is zero
+            if C.min() < 0 or C.max() > self.m or np.count_nonzero(C) != self.n * (self.n - 1):
                 raise ValueError(f"colours must lie in 1..{self.m}")
         C.flags.writeable = False
         object.__setattr__(self, "colours", C)
@@ -94,10 +96,11 @@ class ColouredGraph:
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        u, v = np.triu_indices(self.n, k=1)  # row-major, the order of pairs()
         return {
             "m": self.m,
             "n": self.n,
-            "colours": [[u, v, c] for u, v, c in self.pairs()],
+            "colours": np.stack([u, v, self.colours[u, v]], axis=1).tolist(),
         }
 
     def to_json(self) -> str:
@@ -111,7 +114,7 @@ class ColouredGraph:
             m, n, entries = data["m"], data["n"], data["colours"]
         except KeyError as exc:
             raise ValueError(f"graph JSON missing key {exc}") from exc
-        if not isinstance(m, int) or not isinstance(n, int):
+        if not _is_int(m) or not _is_int(n):
             raise ValueError("m and n must be integers")
         if not isinstance(entries, list):
             raise ValueError("colours must be a list of [u, v, c] triples")
@@ -131,13 +134,19 @@ class ColouredGraph:
         return "\n".join(lines) + "\n"
 
 
+def _is_int(x: object) -> bool:
+    """An integer, but not a bool: JSON true/false load as Python bools,
+    which are ints to isinstance."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_edges(m: int, n: int, entries: Iterable[Iterable[int]]) -> ColouredGraph:
     """Build a graph from [u, v, c] triples; every pair exactly once."""
     C = np.zeros((n, n), dtype=np.int32)
     seen: set[tuple[int, int]] = set()
     for entry in entries:
         entry = list(entry)
-        if len(entry) != 3 or not all(isinstance(x, int) for x in entry):
+        if len(entry) != 3 or not all(_is_int(x) for x in entry):
             raise ValueError(f"colour entry must be [u, v, c], got {entry!r}")
         u, v, c = entry
         if not (0 <= u < n and 0 <= v < n) or u == v:
@@ -192,7 +201,11 @@ def is_colour_consistent(G: ColouredGraph, s: Perm, pi: Perm) -> bool:
     table = np.zeros(G.m + 1, dtype=np.int32)
     table[1:] = pi
     C = G.colours
-    return bool((C[np.ix_(sv, sv)] == table[C]).all())
+    rows = max(1, ROW_BLOCK_ENTRIES // G.n)
+    return all(
+        np.array_equal(C[sv[start : start + rows]][:, sv], table[C[start : start + rows]])
+        for start in range(0, G.n, rows)
+    )
 
 
 # -- witness queries -------------------------------------------------------

@@ -3,10 +3,25 @@
 from __future__ import annotations
 
 import itertools
+from typing import Optional
 
-from coloursym.equivariant import FiniteGroup, group_from_perms
-from coloursym.graphs import ColouredGraph, PartialIso, extend_iso, graph_from_edges
-from coloursym.perms import enumerate_sym
+import numpy as np
+
+from coloursym.equivariant import (
+    FiniteGroup,
+    OrbitGraphSpec,
+    action_vertex_perm,
+    assemble_orbit_graph,
+    group_from_perms,
+)
+from coloursym.graphs import (
+    ColouredGraph,
+    PartialIso,
+    extend_iso,
+    graph_from_edges,
+    is_colour_consistent,
+)
+from coloursym.perms import compose, enumerate_sym
 
 
 def sym_group(m: int) -> FiniteGroup:
@@ -33,3 +48,36 @@ def all_two_colourings(n: int):
     pairs = list(itertools.combinations(range(n), 2))
     for bits in itertools.product((1, 2), repeat=len(pairs)):
         yield graph_from_edges(2, n, [[u, v, c] for (u, v), c in zip(pairs, bits)])
+
+
+# -- all-element oracles for the generator-based proofs -----------------------
+
+
+def inconsistent_elements(
+    spec: OrbitGraphSpec, graph: Optional[ColouredGraph] = None
+) -> tuple[int, ...]:
+    """Every group element, one by one: the labels whose right
+    multiplication is not colour-consistent with phi on the graph (the
+    assembled one unless another is given)."""
+    if graph is None:
+        graph = assemble_orbit_graph(spec)
+    G = spec.group
+    return tuple(
+        g
+        for g in range(G.size)
+        if not is_colour_consistent(graph, action_vertex_perm(spec, g), G.phi[g])
+    )
+
+
+def associative_on_all_triples(G: FiniteGroup) -> bool:
+    """(g*h)*k == g*(h*k) for every triple, one row of g at a time."""
+    MUL = G.mul
+    return all(np.array_equal(MUL[MUL[g, :], :], MUL[g][MUL]) for g in range(G.size))
+
+
+def phi_homomorphic_on_all_pairs(G: FiniteGroup) -> bool:
+    return all(
+        G.phi[G.product(g, h)] == compose(G.phi[g], G.phi[h])
+        for g in range(G.size)
+        for h in range(G.size)
+    )

@@ -96,6 +96,14 @@ def test_complement_writes_assembled_graph(tmp_path, capsys):
     assert len(doc["vertex_labels"]) == 12
 
 
+@pytest.mark.parametrize("m", ["8", "9"])
+def test_complement_above_the_sym_cap_is_a_one_line_error(capsys, m):
+    code, out, err = run(capsys, "complement", "--m", m)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # -- supplement -----------------------------------------------------------------
 
 
@@ -130,6 +138,15 @@ def test_supplement_m8_reports_both_covers_blocked(capsys):
     assert not names["supplement-condition-tilde"]["passed"]
     assert not names["supplement-condition-hat"]["passed"]
     assert not names["both-covers-blocked"]["passed"]
+
+
+@pytest.mark.parametrize("cover", ["tilde", "hat"])
+def test_supplement_odd_m_above_enumeration_passes_vacuously(capsys, cover):
+    code, doc = run_json(capsys, "supplement", "--m", "7", "--cover", cover)
+    assert code == 0
+    assert [a["name"] for a in doc["assertions"]] == ["supplement-condition"]
+    detail = doc["assertions"][0]["detail"]
+    assert "odd" in detail and "not run" in detail
 
 
 # -- cover-table -----------------------------------------------------------------

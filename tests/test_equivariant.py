@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from coloursym import equivariant, graphs
 from coloursym.equivariant import (
     FiniteGroup,
     FixedPointFreeInvolution,
@@ -14,11 +15,15 @@ from coloursym.equivariant import (
     assembled_graph_json_dict,
     build_pair_colouring,
     check_group_axioms,
+    generators,
     group_from_perms,
+    is_associative,
+    is_phi_homomorphism,
     make_orbit_spec,
     pair_colour,
     pair_colour_matrix,
     sym_complement,
+    symmetric_group,
     trivial_group,
     verify_colour_group,
 )
@@ -31,8 +36,14 @@ from coloursym.perms import (
     identity,
     transposition,
 )
+from coloursym.spin import CoverKind, enumerate_cover
 
-from helpers import sym_group
+from helpers import (
+    associative_on_all_triples,
+    inconsistent_elements,
+    phi_homomorphic_on_all_pairs,
+    sym_group,
+)
 
 
 # -- groups from permutations -------------------------------------------------
@@ -282,6 +293,22 @@ def test_verify_colour_group_sym3():
     assert report.passed
 
 
+def test_colour_check_in_row_blocks_matches_one_pass(monkeypatch):
+    spec = make_sym3_spec(2)
+    graph = assemble_orbit_graph(spec)
+    C, G = graph.colours, spec.group
+    cases = [(action_vertex_perm(spec, g), G.phi[h]) for g in range(6) for h in range(6)]
+
+    def one_pass(s, pi):
+        sv = np.array(s) - 1
+        return bool((C[np.ix_(sv, sv)] == np.array((0,) + pi)[C]).all())
+
+    expected = [one_pass(s, pi) for s, pi in cases]
+    assert expected.count(True) == 6  # g with phi(g) only, Sym(3) acts faithfully
+    monkeypatch.setattr(graphs, "ROW_BLOCK_ENTRIES", 5 * graph.n)  # blocks of 5, 5, 2 rows
+    assert [is_colour_consistent(graph, s, pi) for s, pi in cases] == expected
+
+
 def test_verify_colour_group_trivial_group():
     G = trivial_group(4)
     f = build_pair_colouring(G, 0)
@@ -290,10 +317,151 @@ def test_verify_colour_group_trivial_group():
     assert report.passed and report.kernel_size == 1
 
 
-def test_verify_colour_group_sampled_mode_includes_kernel():
-    report = verify_colour_group(make_sym3_spec(2), sample=2, sample_seed=1)
-    assert 0 in report.checked
+def test_verify_colour_group_checks_the_generators():
+    spec = make_sym3_spec(2)
+    report = verify_colour_group(spec)
+    assert report.checked == generators(spec.group) == (1, 2)
+    assert report.argument == "generators + homomorphism"
+    assert report.associative and report.homomorphism
     assert report.passed
+    assert inconsistent_elements(spec) == ()
+
+
+# -- generators and the proof they carry ----------------------------------------
+
+
+def closure(G, gens):
+    """Labels reachable from the identity by right multiplication."""
+    seen, todo = {0}, [0]
+    while todo:
+        x = todo.pop()
+        for a in gens:
+            y = G.product(x, a)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_generators_are_greedy_and_generate(m):
+    groups = [sym_group(m)] + [enumerate_cover(m, k).group for k in CoverKind]
+    for G in groups:
+        gens = generators(G)
+        assert closure(G, gens) == set(range(G.size))
+        for i, a in enumerate(gens):
+            below = closure(G, gens[:i])
+            assert a == min(set(range(G.size)) - below)
+        assert 2 ** len(gens) <= G.size
+
+
+def test_trivial_group_has_no_generators():
+    assert generators(trivial_group(3)) == ()
+
+
+GROUPS_UP_TO_M4 = [("sym", 3), ("sym", 4)] + [
+    (kind.value, m) for m in (2, 3, 4) for kind in CoverKind
+]
+
+
+def small_group(name, m):
+    return sym_group(m) if name == "sym" else enumerate_cover(m, CoverKind(name)).group
+
+
+@pytest.mark.parametrize("name,m", GROUPS_UP_TO_M4)
+def test_generator_verdict_agrees_with_all_element_oracle(name, m, monkeypatch):
+    G = small_group(name, m)
+    assert check_group_axioms(G)
+    assert associative_on_all_triples(G) and phi_homomorphic_on_all_pairs(G)
+    try:
+        f = build_pair_colouring(G, 3)
+    except FixedPointFreeInvolution:
+        # even palettes with a fixed-point-free involution build no orbit graph
+        assert (name, m) in {("sym", 4), ("hat", 2)}
+        return
+    spec = make_orbit_spec(G, f, 2, 3)
+    report = verify_colour_group(spec)
+    assert report.all_consistent
+    assert inconsistent_elements(spec) == ()
+    # one recoloured edge: both verdicts turn
+    graph = assemble_orbit_graph(spec)
+    C = np.array(graph.colours)
+    C[0, 1] = C[1, 0] = C[0, 1] % G.m + 1
+    broken = type(graph)(m=graph.m, n=graph.n, colours=C)
+    monkeypatch.setattr(equivariant, "assemble_orbit_graph", lambda spec: broken)
+    report = verify_colour_group(spec)
+    assert report.inconsistent and not report.all_consistent
+    assert inconsistent_elements(spec, broken) != ()
+
+
+def test_generator_verdict_agrees_with_oracle_on_m6_hat_cover():
+    cover = enumerate_cover(6, CoverKind.HAT)
+    spec = make_orbit_spec(cover.group, build_pair_colouring(cover.group, 0), 1, 0)
+    report = verify_colour_group(spec)
+    assert report.all_consistent and len(report.checked) == 5
+    assert inconsistent_elements(spec) == ()
+
+
+def test_one_recoloured_edge_of_the_m5_orbit_graph_is_caught(monkeypatch):
+    cover = enumerate_cover(5, CoverKind.HAT)
+    spec = make_orbit_spec(cover.group, build_pair_colouring(cover.group, 1), 2, 1)
+    graph = assemble_orbit_graph(spec)
+    assert verify_colour_group(spec).all_consistent
+    C = np.array(graph.colours)
+    u, v = 17, 301
+    C[u, v] = C[v, u] = C[u, v] % 5 + 1
+    broken = type(graph)(m=5, n=graph.n, colours=C)
+    monkeypatch.setattr(equivariant, "assemble_orbit_graph", lambda spec: broken)
+    report = verify_colour_group(spec)
+    assert report.associative and report.homomorphism
+    assert report.inconsistent
+    assert not report.all_consistent and not report.passed
+
+
+def test_associativity_defect_in_240_element_table_is_caught(monkeypatch):
+    cover = enumerate_cover(5, CoverKind.TILDE)
+    G = cover.group
+    neg = cover.neg_unit_label
+    mul = np.array(G.mul)
+    x, y = 3, 7
+    v = int(mul[x, y])
+    assert v not in (0, neg) and y != G.inv[x]
+    mul[x, y] = mul[v, neg]  # -v: the same colour action, so phi stays a homomorphism
+    broken = FiniteGroup(size=G.size, mul=mul, inv=G.inv, phi=G.phi, m=G.m)
+    gens = generators(broken)
+    assert is_phi_homomorphism(broken, gens)
+    assert not is_associative(broken, gens)
+    monkeypatch.setattr(equivariant, "ROW_BLOCK_ENTRIES", 7 * G.size)  # 7-row blocks
+    assert is_associative(G, generators(G))
+    assert not is_associative(broken, gens)
+    monkeypatch.undo()
+    assert not associative_on_all_triples(broken)
+    assert not check_group_axioms(broken)
+    spec = make_orbit_spec(broken, build_pair_colouring(broken, 0), 1, 0)
+    report = verify_colour_group(spec)
+    assert not report.associative and not report.all_consistent
+
+
+def test_corrupted_phi_entry_is_caught():
+    # Sym(3) acting on colours 1..3 and fixing colour 4; every pair gets
+    # colour 4, so each generator passes the colour check whatever phi says
+    # and only the homomorphism check can see a broken phi
+    S3 = sym_group(3)
+    phi = [p + (4,) for p in S3.phi]
+    G = FiniteGroup(size=6, mul=S3.mul, inv=S3.inv, phi=tuple(phi), m=4)
+    assert generators(G) == (1, 2)
+    phi[5] = phi[1]
+    broken = FiniteGroup(size=6, mul=S3.mul, inv=S3.inv, phi=tuple(phi), m=4)
+    assert check_group_axioms(G) and not check_group_axioms(broken)
+    assert not phi_homomorphic_on_all_pairs(broken)
+    for group, ok in ((G, True), (broken, False)):
+        colouring = PairColouring(group=group, base=(0,) + (4,) * 5)
+        colouring.validate()
+        spec = OrbitGraphSpec(colouring=colouring, orbit_count=1, inter={}, seed=0)
+        report = verify_colour_group(spec)
+        assert report.inconsistent == ()
+        assert report.homomorphism is ok
+        assert report.all_consistent is ok
 
 
 # -- witness orbits ---------------------------------------------------------------
@@ -371,16 +539,29 @@ def test_sym_complement_rejects_even_or_small():
         sym_complement(1, 1, 0)
 
 
-def test_sym_complement_guard_requires_sampling():
-    with pytest.raises(ValueError):
-        sym_complement(7, 1, 0)
+def test_sym_complement_caps_the_palette_before_building_anything(monkeypatch):
+    def refuse(m):
+        raise AssertionError(f"enumerate_sym({m}) was called")
+
+    monkeypatch.setattr(equivariant, "enumerate_sym", refuse)
+    with pytest.raises(ValueError, match=r"1\.\.7"):
+        sym_complement(9, 1, 0)
+    with pytest.raises(ValueError, match=r"1\.\.7"):
+        symmetric_group(8)
 
 
-def test_sym_complement_m7_sampled():
-    spec, report = sym_complement(7, 1, 0, sample=8)
-    assert not report.exhaustive
+def test_sym_complement_m7():
+    spec, report = sym_complement(7, 1, 0)
+    assert report.exhaustive
     assert report.all_consistent
     assert report.kernel_size == 1
+    assert report.checked == generators(spec.group)
+    # oracle: a seeded handful of elements checked one by one
+    graph = assemble_orbit_graph(spec)
+    G = spec.group
+    for g in np.random.default_rng(0).choice(G.size, 8, replace=False):
+        g = int(g)
+        assert is_colour_consistent(graph, action_vertex_perm(spec, g), G.phi[g])
 
 
 # -- serialization ----------------------------------------------------------------

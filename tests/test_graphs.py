@@ -395,6 +395,26 @@ def test_json_roundtrip_identity():
     assert ColouredGraph.from_json_dict(d).to_json_dict() == d
 
 
+def test_to_json_dict_matches_the_pairs_loop():
+    G = random_graph(37, 4, 11)
+    looped = {"m": G.m, "n": G.n, "colours": [[u, v, c] for u, v, c in G.pairs()]}
+    assert json.dumps(G.to_json_dict(), sort_keys=True) == json.dumps(looped, sort_keys=True)
+    for n in (0, 1, 2):
+        H = random_graph(n, 2, 0)
+        assert H.to_json_dict()["colours"] == [[u, v, c] for u, v, c in H.pairs()]
+
+
+def test_json_reader_rejects_booleans_as_integers():
+    with pytest.raises(ValueError):
+        ColouredGraph.from_json('{"m": true, "n": 2, "colours": [[0, 1, 1]]}')
+    with pytest.raises(ValueError):
+        ColouredGraph.from_json('{"m": 2, "n": true, "colours": []}')
+    with pytest.raises(ValueError):
+        ColouredGraph.from_json('{"m": 2, "n": 2, "colours": [[false, true, 2]]}')
+    with pytest.raises(ValueError):
+        graph_from_edges(2, 2, [[0, 1, True]])
+
+
 def test_json_deterministic():
     a = random_graph(5, 3, 9).to_json()
     b = random_graph(5, 3, 9).to_json()
@@ -449,3 +469,6 @@ def test_graph_constructor_validation():
         ColouredGraph(m=2, n=2, colours=np.array([[1, 1], [1, 1]], dtype=np.int32))
     with pytest.raises(ValueError):
         ColouredGraph(m=2, n=2, colours=np.array([[0, 3], [3, 0]], dtype=np.int32))
+    for off in (0, -1):
+        with pytest.raises(ValueError):
+            ColouredGraph(m=2, n=2, colours=np.array([[0, off], [off, 0]], dtype=np.int32))

@@ -41,6 +41,8 @@ from coloursym.spin import (
     unit,
 )
 
+from helpers import associative_on_all_triples, phi_homomorphic_on_all_pairs
+
 TILDE, HAT = CoverKind.TILDE, CoverKind.HAT
 
 scalars = st.builds(
@@ -339,10 +341,12 @@ def test_cover_passes_group_axioms():
     assert check_group_axioms(enumerate_cover(4, HAT).group)
 
 
-def test_cover_m5_exercises_sampled_axiom_path():
-    cover = enumerate_cover(5, HAT)  # 240 elements: beyond the exhaustive limit
+def test_cover_m5_passes_exact_group_axioms():
+    cover = enumerate_cover(5, HAT)
     assert cover.group.size == 240
     assert check_group_axioms(cover.group)
+    assert associative_on_all_triples(cover.group)
+    assert phi_homomorphic_on_all_pairs(cover.group)
 
 
 def test_cover_guard():
