@@ -11,7 +11,6 @@ from .equivariant import (
     add_witness_orbit,
     assemble_orbit_graph,
     build_pair_colouring,
-    check_group_axioms,
     group_from_perms,
     make_orbit_spec,
     pair_colour,

@@ -150,7 +150,7 @@ def cmd_complement(args: argparse.Namespace) -> RunReport:
         if args.out:
             _write_file(
                 args.out,
-                json.dumps(assembled_graph_json_dict(spec), sort_keys=True) + "\n",
+                json.dumps(assembled_graph_json_dict(spec, ver.graph), sort_keys=True) + "\n",
             )
             report.check("graph-written", True, args.out)
     else:
@@ -248,7 +248,7 @@ def cmd_supplement(args: argparse.Namespace) -> RunReport:
     if args.out:
         _write_file(
             args.out,
-            json.dumps(assembled_graph_json_dict(spec), sort_keys=True) + "\n",
+            json.dumps(assembled_graph_json_dict(spec, ver.graph), sort_keys=True) + "\n",
         )
         report.check("graph-written", True, args.out)
     return report

@@ -25,7 +25,13 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .graphs import ROW_BLOCK_ENTRIES, ColouredGraph, is_colour_consistent
+from .graphs import (
+    ROW_BLOCK_ENTRIES,
+    ColouredGraph,
+    _is_int,
+    colour_lookup,
+    is_colour_consistent,
+)
 from .perms import (
     Perm,
     apply,
@@ -34,9 +40,7 @@ from .perms import (
     enumerate_sym,
     fixed_points,
     identity,
-    inverse,
     is_perm,
-    perm,
 )
 
 SYM_GROUP_MAX_M = 7  # Sym(7) has a 5040 x 5040 int32 table, about 100 MB
@@ -60,56 +64,63 @@ class FiniteGroup:
     """Finite group as a multiplication table plus a colour action.
 
     mul[g, h] is the label of g*h; label 0 is the identity; phi[g] is the
-    permutation of {1..m} induced by g, with phi a homomorphism under the
-    package's right-action composition.
+    permutation of {1..m} induced by g. Only mul and phi are given; size,
+    m, the inverses, the colour lookup table and a generating set are
+    derived from them. Construction is the proof: it raises ValueError
+    unless mul is a group table and phi a homomorphism into Sym(m) under
+    the package's right-action composition.
     """
 
-    size: int
     mul: np.ndarray = field(repr=False)
-    inv: np.ndarray = field(repr=False)
-    phi: tuple[Perm, ...]
-    m: int
+    phi: tuple[Perm, ...] = field(repr=False)
+    size: int = field(init=False)
+    m: int = field(init=False)
+    inv: np.ndarray = field(init=False, repr=False)
+    phi_table: np.ndarray = field(init=False, repr=False)  # [g, c] = phi(g)(c), [g, 0] = 0
+    gens: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError("a group has at least the identity")
-        mul = np.array(self.mul, dtype=np.int32, copy=True)
-        inv = np.array(self.inv, dtype=np.int32, copy=True)
-        if mul.shape != (self.size, self.size):
-            raise ValueError("multiplication table has the wrong shape")
-        if inv.shape != (self.size,):
-            raise ValueError("inverse table has the wrong shape")
-        if mul.size and (mul.min() < 0 or mul.max() >= self.size):
+        mul = np.asarray(self.mul)
+        if mul.ndim != 2 or mul.shape[0] != mul.shape[1] or not mul.size:
+            raise ValueError("the multiplication table must be a nonempty square")
+        size = len(mul)
+        if mul.dtype.kind not in "iu" or mul.min() < 0 or mul.max() >= size:
             raise ValueError("table entries must be element labels")
-        labels = np.arange(self.size)
+        mul = mul.astype(np.int32)
+        labels = np.arange(size)
         if not np.array_equal(mul[0], labels) or not np.array_equal(mul[:, 0], labels):
             raise ValueError("label 0 must be the identity")
-        if not (mul[labels, inv] == 0).all() or not (mul[inv, labels] == 0).all():
-            raise ValueError("inverse table does not invert")
-        if len(self.phi) != self.size:
+        rows, inv = np.nonzero(mul == 0)
+        if not np.array_equal(rows, labels):
+            raise ValueError("each row must contain the identity exactly once")
+        phi = tuple(tuple(p) for p in self.phi)
+        if len(phi) != size:
             raise ValueError("phi must assign a colour permutation to every element")
-        for g, p in enumerate(self.phi):
-            if len(p) != self.m or not is_perm(p):
-                raise ValueError(f"phi[{g}] is not a permutation of 1..{self.m}")
-        if self.phi[0] != identity(self.m):
+        m = len(phi[0])
+        for g, p in enumerate(phi):
+            if len(p) != m or not is_perm(p):
+                raise ValueError(f"phi[{g}] is not a permutation of 1..{m}")
+        if phi[0] != identity(m):
             raise ValueError("the identity must act trivially on colours")
-        mul.flags.writeable = False
-        inv.flags.writeable = False
-        object.__setattr__(self, "mul", mul)
-        object.__setattr__(self, "inv", inv)
-        object.__setattr__(self, "phi", tuple(tuple(p) for p in self.phi))
+        phi_table = colour_lookup(phi)
+        gens = generators(mul)
+        if not is_associative(mul, gens):
+            raise ValueError("the multiplication table is not associative")
+        if not is_phi_homomorphism(mul, phi_table, gens):
+            raise ValueError("phi is not a homomorphism")
+        inv = inv.astype(np.int32)
+        for table in (mul, inv, phi_table):
+            table.flags.writeable = False
+        for name, value in dict(
+            mul=mul, phi=phi, size=size, m=m, inv=inv, phi_table=phi_table, gens=gens
+        ).items():
+            object.__setattr__(self, name, value)
 
     def product(self, g: int, h: int) -> int:
         return int(self.mul[g, h])
 
     def inverse_of(self, g: int) -> int:
         return int(self.inv[g])
-
-    def colour_perm(self, g: int) -> Perm:
-        return self.phi[g]
-
-    def is_involution(self, g: int) -> bool:
-        return g != 0 and int(self.mul[g, g]) == 0
 
     def involutions(self) -> tuple[int, ...]:
         return tuple(g for g in range(1, self.size) if int(self.mul[g, g]) == 0)
@@ -132,27 +143,30 @@ class FiniteGroup:
 
     @classmethod
     def from_json_dict(cls, data: object) -> "FiniteGroup":
-        if not isinstance(data, dict):
-            raise ValueError("group JSON must be an object")
-        try:
-            size, m, mul, phi = data["size"], data["m"], data["mul"], data["phi"]
-        except KeyError as exc:
-            raise ValueError(f"group JSON missing key {exc}") from exc
-        mul_arr = np.asarray(mul, dtype=np.int32)
-        if mul_arr.shape != (size, size):
-            raise ValueError("multiplication table has the wrong shape")
-        zeros = np.nonzero(mul_arr == 0)
-        if len(zeros[0]) != size:
-            raise ValueError("each row must contain the identity exactly once")
-        inv = np.full(size, -1, dtype=np.int32)
-        inv[zeros[0]] = zeros[1]
-        return cls(size=size, mul=mul_arr, inv=inv, phi=tuple(perm(p) for p in phi), m=m)
+        """Load what to_json_dict writes; size and m must agree with the
+        values derived from mul and phi."""
+        if not isinstance(data, dict) or set(data) != {"size", "m", "mul", "phi"}:
+            raise ValueError("group JSON must be an object with keys size, m, mul, phi")
+        if not _int_rows(data["mul"]) or not _int_rows(data["phi"]):
+            raise ValueError("mul and phi must be lists of integer lists")
+        group = cls(mul=data["mul"], phi=data["phi"])
+        size, m = data["size"], data["m"]
+        if not (_is_int(size) and _is_int(m) and (size, m) == (group.size, group.m)):
+            raise ValueError(f"size and m must be {group.size} and {group.m}")
+        return group
+
+
+def _int_rows(value: object) -> bool:
+    """Whether a JSON value is a list of lists of integers."""
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(_is_int(x) for x in row) for row in value
+    )
 
 
 def group_from_perms(perms: Iterable[Perm]) -> FiniteGroup:
     """Turn a set of colour permutations closed under composition and
-    inverse (and containing the identity) into a FiniteGroup whose colour
-    action is the tautological one."""
+    containing the identity (a finite such set is a group) into a
+    FiniteGroup whose colour action is the tautological one."""
     elems = {tuple(int(x) for x in p) for p in perms}
     if not elems:
         raise ValueError("at least the identity permutation is required")
@@ -167,18 +181,11 @@ def group_from_perms(perms: Iterable[Perm]) -> FiniteGroup:
     if ident not in elems:
         raise ValueError("the identity permutation is missing")
     ordering = [ident] + sorted(elems - {ident})
-    index = {p: i for i, p in enumerate(ordering)}
-    size = len(ordering)
-    inv = np.empty(size, dtype=np.int32)
-    for i, p in enumerate(ordering):
-        pinv = inverse(p)
-        if pinv not in index:
-            raise ValueError(f"set is not closed under inverse: {cycle_string(p)}")
-        inv[i] = index[pinv]
     if m <= 15:
         mul = _perm_table_vectorised(ordering, m)
     else:
-        mul = np.empty((size, size), dtype=np.int32)
+        index = {p: i for i, p in enumerate(ordering)}
+        mul = np.empty((len(ordering), len(ordering)), dtype=np.int32)
         for i, p in enumerate(ordering):
             for j, q in enumerate(ordering):
                 r = index.get(compose(p, q))
@@ -188,7 +195,7 @@ def group_from_perms(perms: Iterable[Perm]) -> FiniteGroup:
                         f"{cycle_string(p)} * {cycle_string(q)}"
                     )
                 mul[i, j] = r
-    return FiniteGroup(size=size, mul=mul, inv=inv, phi=tuple(ordering), m=m)
+    return FiniteGroup(mul=mul, phi=tuple(ordering))
 
 
 def _perm_table_vectorised(ordering: list[Perm], m: int) -> np.ndarray:
@@ -229,62 +236,50 @@ def symmetric_group(m: int) -> FiniteGroup:
     return group_from_perms(enumerate_sym(m))
 
 
-def generators(G: FiniteGroup) -> tuple[int, ...]:
-    """Greedy generating set: repeatedly adjoin the smallest label outside
-    the subgroup generated so far. Each new generator at least doubles that
-    subgroup, so there are at most log2 |G| of them.
+def generators(mul: np.ndarray) -> tuple[int, ...]:
+    """Greedy generating set of a table: repeatedly adjoin the smallest label
+    outside the subgroup generated so far. In a group each new generator at
+    least doubles that subgroup, so there are at most log2 |G| of them.
 
     The subgroup grows by right multiplication from the identity, so every
     label is reached as a left-nested product of generators whether or not
     the table is associative; Light's test relies on exactly that."""
-    reached = np.zeros(G.size, dtype=bool)
+    reached = np.zeros(len(mul), dtype=bool)
     reached[0] = True
     gens: list[int] = []
     while not reached.all():
         gens.append(int(np.argmin(reached)))
         frontier = np.flatnonzero(reached)
         while frontier.size:
-            images = np.unique(G.mul[np.ix_(frontier, gens)])
+            images = np.unique(mul[np.ix_(frontier, gens)])
             frontier = images[~reached[images]]
             reached[frontier] = True
     return tuple(gens)
 
 
-def is_associative(G: FiniteGroup, gens: tuple[int, ...]) -> bool:
+def is_associative(mul: np.ndarray, gens: tuple[int, ...]) -> bool:
     """Light's test: (x*a)*y == x*(a*y) for every generator a and all x, y.
     The elements a passing it are closed under products, and every label is
     a product of the generators, so this proves the whole table associative.
     Row blocks keep the temporaries far below size^2 entries."""
-    MUL = G.mul
-    rows = max(1, ROW_BLOCK_ENTRIES // G.size)
+    size = len(mul)
+    rows = max(1, ROW_BLOCK_ENTRIES // size)
     for a in gens:
-        a_times = MUL[a]
-        for start in range(0, G.size, rows):
-            block = MUL[start : start + rows]
-            if not np.array_equal(MUL[block[:, a]], block[:, a_times]):
+        a_times = mul[a]
+        for start in range(0, size, rows):
+            block = mul[start : start + rows]
+            if not np.array_equal(mul[block[:, a]], block[:, a_times]):
                 return False
     return True
 
 
-def is_phi_homomorphism(G: FiniteGroup, gens: tuple[int, ...]) -> bool:
+def is_phi_homomorphism(
+    mul: np.ndarray, phi_table: np.ndarray, gens: tuple[int, ...]
+) -> bool:
     """phi(x*a) == phi(x) followed by phi(a) for every generator a and all
-    x. Over an associative table this extends to every product."""
-    PHI = np.asarray(G.phi, dtype=np.int32)
-    return all(np.array_equal(PHI[G.mul[:, a]], PHI[a][PHI - 1]) for a in gens)
-
-
-def check_group_axioms(G: FiniteGroup) -> bool:
-    """Verify the full invariant set exactly: identity, inverses, and, over
-    a greedy generating set, associativity by Light's test and that phi is
-    a homomorphism."""
-    size, MUL = G.size, G.mul
-    labels = np.arange(size)
-    if not np.array_equal(MUL[0], labels) or not np.array_equal(MUL[:, 0], labels):
-        return False
-    if not (MUL[labels, G.inv] == 0).all() or not (MUL[G.inv, labels] == 0).all():
-        return False
-    gens = generators(G)
-    return is_associative(G, gens) and is_phi_homomorphism(G, gens)
+    x, on the colour lookup table of phi (see colour_lookup). Over an
+    associative table this extends to every product."""
+    return all(np.array_equal(phi_table[mul[:, a]], phi_table[a][phi_table]) for a in gens)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,16 +348,8 @@ def pair_colour_matrix(f: PairColouring) -> np.ndarray:
     G = f.group
     size = G.size
     base = np.asarray(f.base, dtype=np.int32)
-    phi_table = _phi_lookup(G)
     idx = G.mul[np.ix_(np.arange(size), G.inv)].T  # [x, y] = y * x^-1
-    return phi_table[np.arange(size)[:, None], base[idx]]
-
-
-def _phi_lookup(G: FiniteGroup) -> np.ndarray:
-    """(size, m+1) table with [g, c] = phi(g)(c) and column 0 fixed at 0."""
-    table = np.zeros((G.size, G.m + 1), dtype=np.int32)
-    table[:, 1:] = np.asarray(G.phi, dtype=np.int32)
-    return table
+    return G.phi_table[np.arange(size)[:, None], base[idx]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,21 +408,33 @@ class OrbitGraphSpec:
 
     @classmethod
     def from_json_dict(cls, data: object) -> "OrbitGraphSpec":
-        if not isinstance(data, dict):
-            raise ValueError("orbit-spec JSON must be an object")
+        """Load exactly what to_json_dict writes for a valid spec; anything
+        else raises ValueError."""
+        keys = {"group", "base", "N", "inter", "seed"}
+        if not isinstance(data, dict) or set(data) != keys:
+            raise ValueError(f"orbit-spec JSON must be an object with keys {sorted(keys)}")
         group = FiniteGroup.from_json_dict(data["group"])
-        base = [0] * group.size
-        for key, value in data["base"].items():
-            base[int(key)] = int(value)
-        inter = {}
-        for key, values in data["inter"].items():
-            i, j = (int(part) for part in key.split(","))
-            inter[(i, j)] = tuple(values)
+        base, N, inter, seed = data["base"], data["N"], data["inter"], data["seed"]
+        if not _is_int(N) or N < 1 or not _is_int(seed):
+            raise ValueError("N must be a positive integer and seed an integer")
+        labels = [str(y) for y in range(1, group.size)]
+        if not (isinstance(base, dict) and set(base) == set(labels)) or not all(
+            _is_int(c) for c in base.values()
+        ):
+            raise ValueError(f"base must give an integer colour to each of 1..{group.size - 1}")
+        # count first: the expected key set is then no larger than the input
+        if not isinstance(inter, dict) or len(inter) != N * (N - 1) // 2:
+            raise ValueError(f"inter must hold {N * (N - 1) // 2} maps for N = {N}")
+        pairs = {f"{i},{j}": (i, j) for i in range(N) for j in range(i + 1, N)}
+        if set(inter) != set(pairs) or not _int_rows(list(inter.values())):
+            raise ValueError(f'inter must map each "i,j" with i < j < {N} to integer colours')
+        colouring = PairColouring(group=group, base=(0, *(base[y] for y in labels)))
+        colouring.validate()
         return cls(
-            colouring=PairColouring(group=group, base=tuple(base)),
-            orbit_count=int(data["N"]),
-            inter=inter,
-            seed=int(data["seed"]),
+            colouring=colouring,
+            orbit_count=N,
+            inter={pairs[key]: tuple(values) for key, values in inter.items()},
+            seed=seed,
         )
 
     def to_json(self) -> str:
@@ -468,7 +467,6 @@ def assemble_orbit_graph(spec: OrbitGraphSpec) -> ColouredGraph:
     G = spec.group
     size = G.size
     n = spec.vertex_count
-    phi_table = _phi_lookup(G)
     F = pair_colour_matrix(spec.colouring)
     C = np.zeros((n, n), dtype=np.int32)
     for i in range(spec.orbit_count):
@@ -477,7 +475,7 @@ def assemble_orbit_graph(spec: OrbitGraphSpec) -> ColouredGraph:
     cols = np.arange(size)[None, :]
     for (i, j), values in sorted(spec.inter.items()):
         b = np.asarray(values, dtype=np.int32)
-        block = phi_table[cols, b[idx]]
+        block = G.phi_table[cols, b[idx]]
         C[i * size : (i + 1) * size, j * size : (j + 1) * size] = block
         C[j * size : (j + 1) * size, i * size : (i + 1) * size] = block.T
     return ColouredGraph(m=G.m, n=n, colours=C)
@@ -500,19 +498,19 @@ class ColourGroupReport:
     """Outcome of proving that the installed group acts colour-consistently
     on the assembled graph, plus the kernel of the colour action.
 
-    `argument` names the proof: the generators in `checked` pass the colour
-    check unless listed in `inconsistent`, and on the same generators the
-    table passes Light's associativity test and phi the homomorphism check."""
+    `argument` names the proof: the group's generators, listed in `checked`,
+    pass the colour check unless listed in `inconsistent`; FiniteGroup has
+    already proven the table associative and phi a homomorphism. `graph` is
+    the graph that was checked."""
 
     group_size: int
     orbit_count: int
     vertex_count: int
     argument: str
     checked: tuple[int, ...]
-    associative: bool
-    homomorphism: bool
     inconsistent: tuple[int, ...]
     kernel: tuple[int, ...]
+    graph: ColouredGraph = field(repr=False, compare=False)
 
     @property
     def exhaustive(self) -> bool:
@@ -521,7 +519,7 @@ class ColourGroupReport:
 
     @property
     def all_consistent(self) -> bool:
-        return self.associative and self.homomorphism and not self.inconsistent
+        return not self.inconsistent
 
     @property
     def kernel_size(self) -> int:
@@ -545,8 +543,6 @@ class ColourGroupReport:
             "vertex_count": self.vertex_count,
             "argument": self.argument,
             "checked_count": len(self.checked),
-            "associative": self.associative,
-            "homomorphism": self.homomorphism,
             "inconsistent": list(self.inconsistent),
             "kernel": list(self.kernel),
             "kernel_size": self.kernel_size,
@@ -557,19 +553,19 @@ class ColourGroupReport:
 
 def verify_colour_group(spec: OrbitGraphSpec) -> ColourGroupReport:
     """Prove that every group element acts colour-consistently on the
-    assembled graph by checking a generating set.
+    assembled graph by checking the group's generating set.
 
-    Right multiplication g -> s_g and phi are both homomorphisms once the
-    table is associative and phi passes its check. Then if s_a carries each
-    colour c to phi(a)(c) and s_b carries it to phi(b)(c), s_ab = s_a then
-    s_b carries it to phi(ab)(c). The consistent elements therefore form a
-    subgroup, which is the whole group once the generators pass."""
+    Right multiplication g -> s_g and phi are both homomorphisms, since a
+    FiniteGroup's table is associative and its phi a homomorphism. Then if
+    s_a carries each colour c to phi(a)(c) and s_b carries it to
+    phi(b)(c), s_ab = s_a then s_b carries it to phi(ab)(c). The consistent
+    elements therefore form a subgroup, which is the whole group once the
+    generators pass."""
     graph = assemble_orbit_graph(spec)
     G = spec.group
-    gens = generators(G)
     inconsistent = tuple(
         a
-        for a in gens
+        for a in G.gens
         if not is_colour_consistent(graph, action_vertex_perm(spec, a), G.phi[a])
     )
     return ColourGroupReport(
@@ -577,11 +573,10 @@ def verify_colour_group(spec: OrbitGraphSpec) -> ColourGroupReport:
         orbit_count=spec.orbit_count,
         vertex_count=spec.vertex_count,
         argument="generators + homomorphism",
-        checked=gens,
-        associative=is_associative(G, gens),
-        homomorphism=is_phi_homomorphism(G, gens),
+        checked=G.gens,
         inconsistent=inconsistent,
         kernel=G.kernel(),
+        graph=graph,
     )
 
 
@@ -630,10 +625,9 @@ def sym_complement(
     return spec, verify_colour_group(spec)
 
 
-def assembled_graph_json_dict(spec: OrbitGraphSpec) -> dict:
-    """Assembled graph in graph-JSON form plus the orbit/element label of
-    every flat vertex id."""
-    graph = assemble_orbit_graph(spec)
+def assembled_graph_json_dict(spec: OrbitGraphSpec, graph: ColouredGraph) -> dict:
+    """The graph assembled from spec (as verify_colour_group keeps it) in
+    graph-JSON form, plus the orbit/element label of every flat vertex id."""
     labels = [
         {"orbit": v // spec.group.size, "element": v % spec.group.size}
         for v in range(spec.vertex_count)

@@ -18,7 +18,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -141,7 +141,15 @@ def _is_int(x: object) -> bool:
 
 
 def graph_from_edges(m: int, n: int, entries: Iterable[Iterable[int]]) -> ColouredGraph:
-    """Build a graph from [u, v, c] triples; every pair exactly once."""
+    """Build a graph from [u, v, c] triples; every pair exactly once. The
+    triples are counted before the n x n matrix is allocated, so a huge n
+    costs nothing unless that many triples were actually given."""
+    entries = list(entries)
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    expected = n * (n - 1) // 2
+    if len(entries) != expected:
+        raise ValueError(f"expected {expected} pairs, got {len(entries)}")
     C = np.zeros((n, n), dtype=np.int32)
     seen: set[tuple[int, int]] = set()
     for entry in entries:
@@ -158,9 +166,6 @@ def graph_from_edges(m: int, n: int, entries: Iterable[Iterable[int]]) -> Colour
             raise ValueError(f"colour {c} out of range 1..{m}")
         seen.add(key)
         C[u, v] = C[v, u] = c
-    expected = n * (n - 1) // 2
-    if len(seen) != expected:
-        raise ValueError(f"expected {expected} pairs, got {len(seen)}")
     return ColouredGraph(m=m, n=n, colours=C)
 
 
@@ -183,9 +188,15 @@ def recolour(G: ColouredGraph, pi: Perm) -> ColouredGraph:
     """Apply the colour permutation pi to every pair colour."""
     if len(pi) != G.m:
         raise ValueError(f"colour permutation degree {len(pi)} != palette {G.m}")
-    table = np.zeros(G.m + 1, dtype=np.int32)
-    table[1:] = pi
-    return ColouredGraph(m=G.m, n=G.n, colours=table[G.colours])
+    return ColouredGraph(m=G.m, n=G.n, colours=colour_lookup(pi)[G.colours])
+
+
+def colour_lookup(perms: Perm | Sequence[Perm]) -> np.ndarray:
+    """Colour permutations as lookup tables indexed by colour: [..., c] is
+    the image of c, and column 0 maps the diagonal's 0 to itself. Takes one
+    permutation or a sequence of them."""
+    table = np.asarray(perms, dtype=np.int32)
+    return np.pad(table, [(0, 0)] * (table.ndim - 1) + [(1, 0)])
 
 
 def is_colour_consistent(G: ColouredGraph, s: Perm, pi: Perm) -> bool:
@@ -198,8 +209,7 @@ def is_colour_consistent(G: ColouredGraph, s: Perm, pi: Perm) -> bool:
     if G.n == 0:
         return True
     sv = np.asarray(s, dtype=np.int64) - 1  # 0-based vertex images
-    table = np.zeros(G.m + 1, dtype=np.int32)
-    table[1:] = pi
+    table = colour_lookup(pi)
     C = G.colours
     rows = max(1, ROW_BLOCK_ENTRIES // G.n)
     return all(

@@ -158,8 +158,7 @@ class PinElement:
     coeffs: tuple[CliffordScalar, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.m <= DIRECT_LIFT_MAX_M:
-            raise ValueError(f"m must be in 1..{DIRECT_LIFT_MAX_M}")
+        _check_degree(self.m)
         if len(self.coeffs) != 1 << self.m:
             raise ValueError(f"expected {1 << self.m} blade coefficients")
         parities = {mask.bit_count() % 2 for mask, c in enumerate(self.coeffs) if c}
@@ -181,7 +180,13 @@ class PinElement:
         return f"PinElement({self.kind.value}, m={self.m}: {' + '.join(terms)})"
 
 
+def _check_degree(m: int) -> None:
+    if not 1 <= m <= DIRECT_LIFT_MAX_M:
+        raise ValueError(f"m must be in 1..{DIRECT_LIFT_MAX_M}")
+
+
 def _element(kind: CoverKind, m: int, entries: Mapping[int, CliffordScalar]) -> PinElement:
+    _check_degree(m)  # before the 2^m coefficients are allocated
     coeffs = [SCALAR_ZERO] * (1 << m)
     for mask, c in entries.items():
         coeffs[mask] = c
@@ -350,7 +355,8 @@ class SpinCover:
 def enumerate_cover(m: int, kind: CoverKind) -> SpinCover:
     """Close {pair generators} union {-1} under multiplication, intern the
     elements in discovery order (identity first) and build the full
-    multiplication table. The closure must have exactly 2 * m! elements."""
+    multiplication table. The closure must have exactly 2 * m! elements,
+    and FiniteGroup proves the table a group."""
     if not 2 <= m <= COVER_ENUM_MAX_M:
         raise ValueError(f"m must be in 2..{COVER_ENUM_MAX_M} for enumeration")
     gens = [coxeter_generator(i, m, kind) for i in range(1, m)] + [unit(-1, m, kind)]
@@ -386,16 +392,10 @@ def enumerate_cover(m: int, kind: CoverKind) -> SpinCover:
     for y in range(1, size):
         p, gi = parent[y]
         mul[:, y] = right_arrays[gi][mul[:, p]]
-    if np.count_nonzero(mul == 0) != size:
-        raise RuntimeError("multiplication table is not a Latin square")
-    rows, cols = np.nonzero(mul == 0)
-    inv = np.empty(size, dtype=np.int32)
-    inv[rows] = cols
-    group = FiniteGroup(size=size, mul=mul, inv=inv, phi=tuple(phi), m=m)
     return SpinCover(
         kind=kind,
         m=m,
-        group=group,
+        group=FiniteGroup(mul=mul, phi=tuple(phi)),
         elements=tuple(elements),
         index=index,
         neg_unit_label=index[unit(-1, m, kind)],
@@ -561,14 +561,10 @@ def order_rule_table(m: int, kind: CoverKind, mode: str = "auto") -> OrderRuleRe
 def blocking_involutions(cover: SpinCover) -> tuple[int, ...]:
     """Labels of order-2 cover elements whose colour action is fixed-point-
     free; any one of them rules the cover out as a supplement."""
-    out = []
-    for g in range(1, cover.group.size):
-        if int(cover.group.mul[g, g]) != 0:
-            continue
-        p = cover.group.phi[g]
-        if p != identity(cover.m) and not fixed_points(p):
-            out.append(g)
-    return tuple(out)
+    phi, ident = cover.group.phi, identity(cover.m)
+    return tuple(
+        g for g in cover.group.involutions() if phi[g] != ident and not fixed_points(phi[g])
+    )
 
 
 def supplement_condition(m: int, kind: CoverKind) -> bool:

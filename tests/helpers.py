@@ -69,15 +69,15 @@ def inconsistent_elements(
     )
 
 
-def associative_on_all_triples(G: FiniteGroup) -> bool:
-    """(g*h)*k == g*(h*k) for every triple, one row of g at a time."""
-    MUL = G.mul
-    return all(np.array_equal(MUL[MUL[g, :], :], MUL[g][MUL]) for g in range(G.size))
+def associative_on_all_triples(mul: np.ndarray) -> bool:
+    """(g*h)*k == g*(h*k) for every triple of a table, one row of g at a time."""
+    MUL = np.asarray(mul)
+    return all(np.array_equal(MUL[MUL[g, :], :], MUL[g][MUL]) for g in range(len(MUL)))
 
 
-def phi_homomorphic_on_all_pairs(G: FiniteGroup) -> bool:
+def phi_homomorphic_on_all_pairs(mul: np.ndarray, phi) -> bool:
+    """phi(g*h) == phi(g) followed by phi(h) for every pair of labels."""
+    size = len(phi)
     return all(
-        G.phi[G.product(g, h)] == compose(G.phi[g], G.phi[h])
-        for g in range(G.size)
-        for h in range(G.size)
+        phi[int(mul[g][h])] == compose(phi[g], phi[h]) for g in range(size) for h in range(size)
     )

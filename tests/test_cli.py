@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from coloursym import equivariant
 from coloursym.cli import main
 from coloursym.graphs import ColouredGraph, random_graph
 
@@ -104,6 +105,23 @@ def test_complement_above_the_sym_cap_is_a_one_line_error(capsys, m):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [["complement", "--m", "3"], ["supplement", "--m", "3", "--cover", "tilde"]]
+)
+def test_out_reuses_the_verified_orbit_graph(tmp_path, capsys, monkeypatch, argv):
+    assemble = equivariant.assemble_orbit_graph
+    specs = []
+    monkeypatch.setattr(
+        equivariant, "assemble_orbit_graph", lambda spec: specs.append(spec) or assemble(spec)
+    )
+    path = tmp_path / "orbit.json"
+    code, _, _ = run(capsys, *argv, "--orbits", "2", "--out", str(path))
+    assert code == 0
+    assert len(specs) == 1
+    doc = json.loads(path.read_text())
+    assert ColouredGraph.from_json_dict(doc["graph"]) == assemble(specs[0])
+
+
 # -- supplement -----------------------------------------------------------------
 
 
@@ -147,6 +165,14 @@ def test_supplement_odd_m_above_enumeration_passes_vacuously(capsys, cover):
     assert [a["name"] for a in doc["assertions"]] == ["supplement-condition"]
     detail = doc["assertions"][0]["detail"]
     assert "odd" in detail and "not run" in detail
+
+
+def test_supplement_beyond_the_direct_lift_limit_is_a_one_line_error(capsys):
+    # m is checked before 2^26 blade coefficients are allocated
+    code, out, err = run(capsys, "supplement", "--m", "26", "--cover", "tilde")
+    assert code == 2
+    assert out == ""
+    assert err == "error: m must be in 1..12\n"
 
 
 # -- cover-table -----------------------------------------------------------------
@@ -207,6 +233,19 @@ def test_obstruction_rejects_odd_palette(tmp_path, capsys):
     code, _, err = run(capsys, "obstruction", "--in", str(src))
     assert code == 2
     assert "error" in err
+
+
+def test_huge_vertex_count_is_a_one_line_error(tmp_path, capsys):
+    src = tmp_path / "huge.json"
+    src.write_text('{"m": 3, "n": 2000000, "colours": []}')
+    for argv in (
+        ["obstruction", "--in", str(src)],
+        ["saturate", "--in", str(src), "--k", "2", "--out", str(tmp_path / "out.json")],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- coset-bound ---------------------------------------------------------------------

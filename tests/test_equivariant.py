@@ -1,7 +1,12 @@
+import copy
+import functools
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coloursym import equivariant, graphs
 from coloursym.equivariant import (
@@ -14,7 +19,6 @@ from coloursym.equivariant import (
     assemble_orbit_graph,
     assembled_graph_json_dict,
     build_pair_colouring,
-    check_group_axioms,
     generators,
     group_from_perms,
     is_associative,
@@ -27,13 +31,20 @@ from coloursym.equivariant import (
     trivial_group,
     verify_colour_group,
 )
-from coloursym.graphs import WitnessQuery, find_witness, is_colour_consistent, witness_queries
+from coloursym.graphs import (
+    WitnessQuery,
+    colour_lookup,
+    find_witness,
+    is_colour_consistent,
+    witness_queries,
+)
 from coloursym.perms import (
     apply,
     compose,
     enumerate_sym,
     fixed_points,
     identity,
+    inverse,
     transposition,
 )
 from coloursym.spin import CoverKind, enumerate_cover
@@ -85,35 +96,64 @@ def test_multiplication_matches_composition():
             assert G.phi[G.product(i, j)] == compose(p, q)
 
 
-def test_check_group_axioms_sym4():
-    assert check_group_axioms(sym_group(4))
+def test_sym4_constructs_and_agrees_with_the_oracles():
+    G = sym_group(4)
+    assert (G.size, G.m) == (24, 4)
+    assert associative_on_all_triples(G.mul) and phi_homomorphic_on_all_pairs(G.mul, G.phi)
 
 
-def test_check_group_axioms_detects_corruption():
+def test_constructor_rejects_a_corrupted_sym3_entry():
     G = sym_group(3)
     mul = np.array(G.mul, copy=True)
-    # corrupt an entry the constructor's cheap checks do not touch
+    # every row keeps exactly one identity entry, so only the proof can object
     assert G.inv[1] == 1
     mul[1, 2] = (mul[1, 2] + 1) % 6
-    broken = FiniteGroup(size=6, mul=mul, inv=G.inv, phi=G.phi, m=3)
-    assert not check_group_axioms(broken)
+    assert (np.count_nonzero(mul == 0, axis=1) == 1).all()
+    assert not is_associative(mul, generators(mul))
+    assert not associative_on_all_triples(mul)
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(mul, G.phi)
 
 
-def test_check_group_axioms_detects_broken_phi():
+def test_constructor_rejects_a_phi_that_is_not_a_homomorphism():
     G = sym_group(3)
     phi = list(G.phi)
     phi[1], phi[2] = phi[2], phi[1]
-    broken = FiniteGroup(size=6, mul=G.mul, inv=G.inv, phi=tuple(phi), m=3)
-    assert not check_group_axioms(broken)
+    assert not is_phi_homomorphism(G.mul, colour_lookup(phi), generators(G.mul))
+    assert not phi_homomorphic_on_all_pairs(G.mul, phi)
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        FiniteGroup(G.mul, tuple(phi))
+
+
+def test_finite_group_derives_size_m_inverses_and_generators():
+    G = sym_group(3)
+    assert (G.size, G.m) == (6, 3)
+    assert G.gens == generators(G.mul) == (1, 2)
+    for g in range(6):
+        assert G.product(g, G.inverse_of(g)) == G.product(G.inverse_of(g), g) == 0
+        assert G.phi[G.inverse_of(g)] == inverse(G.phi[g])
+    assert np.array_equal(G.phi_table, colour_lookup(G.phi))
+    assert not G.mul.flags.writeable and not G.inv.flags.writeable
 
 
 def test_finite_group_constructor_validation():
     G = sym_group(3)
     rolled = np.roll(np.array(G.mul), 1, axis=0)  # row 0 is no longer the identity
-    with pytest.raises(ValueError):
-        FiniteGroup(size=6, mul=rolled, inv=G.inv, phi=G.phi, m=3)
-    with pytest.raises(ValueError):
-        FiniteGroup(size=6, mul=G.mul, inv=np.zeros(6, np.int32), phi=G.phi, m=3)
+    with pytest.raises(ValueError, match="identity"):
+        FiniteGroup(rolled, G.phi)
+    two_zeros = np.array(G.mul)
+    two_zeros[1, 1:] = two_zeros[2, 1:] = 0  # keeps the identity row and column
+    with pytest.raises(ValueError, match="exactly once"):
+        FiniteGroup(two_zeros, G.phi)
+    for mul in ([], [[0, 1]], [[0, 1], [1, 2]], [[0.0]], [[True]]):
+        with pytest.raises(ValueError):
+            FiniteGroup(mul, ((1,),) * len(mul))
+    with pytest.raises(ValueError, match="every element"):
+        FiniteGroup(G.mul, G.phi[:5])
+    with pytest.raises(ValueError, match="permutation"):
+        FiniteGroup(G.mul, G.phi[:5] + ((1, 1, 2),))
+    with pytest.raises(ValueError, match="act trivially"):
+        FiniteGroup([[0, 1], [1, 0]], ((2, 1), (1, 2)))
 
 
 def test_finite_group_json_roundtrip():
@@ -122,6 +162,24 @@ def test_finite_group_json_roundtrip():
     H = FiniteGroup.from_json_dict(d)
     assert H.to_json_dict() == d
     assert np.array_equal(H.inv, G.inv)
+    for key, value in (("size", 5), ("m", 4), ("size", 6.0), ("m", True)):
+        with pytest.raises(ValueError, match="size and m"):
+            FiniteGroup.from_json_dict({**d, key: value})
+
+
+ORDER_5_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def test_the_order_5_loop_is_not_a_group():
+    # a Latin square with an identity: only associativity fails
+    loop = np.array(ORDER_5_LOOP)
+    assert all(sorted(row) == list(range(5)) for row in (*loop, *loop.T))
+    doc = {"size": 5, "m": 1, "mul": ORDER_5_LOOP, "phi": [[1]] * 5}
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup.from_json_dict(doc)
+    spec = {"group": doc, "base": {str(y): 1 for y in range(1, 5)}, "N": 1, "inter": {}, "seed": 0}
+    with pytest.raises(ValueError, match="not associative"):
+        OrbitGraphSpec.from_json(json.dumps(spec))
 
 
 # -- pair colourings -----------------------------------------------------------
@@ -320,10 +378,10 @@ def test_verify_colour_group_trivial_group():
 def test_verify_colour_group_checks_the_generators():
     spec = make_sym3_spec(2)
     report = verify_colour_group(spec)
-    assert report.checked == generators(spec.group) == (1, 2)
+    assert report.checked == spec.group.gens == (1, 2)
     assert report.argument == "generators + homomorphism"
-    assert report.associative and report.homomorphism
     assert report.passed
+    assert report.graph == assemble_orbit_graph(spec)
     assert inconsistent_elements(spec) == ()
 
 
@@ -347,7 +405,8 @@ def closure(G, gens):
 def test_generators_are_greedy_and_generate(m):
     groups = [sym_group(m)] + [enumerate_cover(m, k).group for k in CoverKind]
     for G in groups:
-        gens = generators(G)
+        gens = generators(G.mul)
+        assert gens == G.gens
         assert closure(G, gens) == set(range(G.size))
         for i, a in enumerate(gens):
             below = closure(G, gens[:i])
@@ -356,7 +415,7 @@ def test_generators_are_greedy_and_generate(m):
 
 
 def test_trivial_group_has_no_generators():
-    assert generators(trivial_group(3)) == ()
+    assert generators(trivial_group(3).mul) == trivial_group(3).gens == ()
 
 
 GROUPS_UP_TO_M4 = [("sym", 3), ("sym", 4)] + [
@@ -371,8 +430,7 @@ def small_group(name, m):
 @pytest.mark.parametrize("name,m", GROUPS_UP_TO_M4)
 def test_generator_verdict_agrees_with_all_element_oracle(name, m, monkeypatch):
     G = small_group(name, m)
-    assert check_group_axioms(G)
-    assert associative_on_all_triples(G) and phi_homomorphic_on_all_pairs(G)
+    assert associative_on_all_triples(G.mul) and phi_homomorphic_on_all_pairs(G.mul, G.phi)
     try:
         f = build_pair_colouring(G, 3)
     except FixedPointFreeInvolution:
@@ -413,7 +471,6 @@ def test_one_recoloured_edge_of_the_m5_orbit_graph_is_caught(monkeypatch):
     broken = type(graph)(m=5, n=graph.n, colours=C)
     monkeypatch.setattr(equivariant, "assemble_orbit_graph", lambda spec: broken)
     report = verify_colour_group(spec)
-    assert report.associative and report.homomorphism
     assert report.inconsistent
     assert not report.all_consistent and not report.passed
 
@@ -427,19 +484,17 @@ def test_associativity_defect_in_240_element_table_is_caught(monkeypatch):
     v = int(mul[x, y])
     assert v not in (0, neg) and y != G.inv[x]
     mul[x, y] = mul[v, neg]  # -v: the same colour action, so phi stays a homomorphism
-    broken = FiniteGroup(size=G.size, mul=mul, inv=G.inv, phi=G.phi, m=G.m)
-    gens = generators(broken)
-    assert is_phi_homomorphism(broken, gens)
-    assert not is_associative(broken, gens)
+    gens = generators(mul)
+    assert is_phi_homomorphism(mul, G.phi_table, gens)
+    assert not is_associative(mul, gens)
     monkeypatch.setattr(equivariant, "ROW_BLOCK_ENTRIES", 7 * G.size)  # 7-row blocks
-    assert is_associative(G, generators(G))
-    assert not is_associative(broken, gens)
+    assert is_associative(G.mul, G.gens)
+    assert not is_associative(mul, gens)
     monkeypatch.undo()
-    assert not associative_on_all_triples(broken)
-    assert not check_group_axioms(broken)
-    spec = make_orbit_spec(broken, build_pair_colouring(broken, 0), 1, 0)
-    report = verify_colour_group(spec)
-    assert not report.associative and not report.all_consistent
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(mul, G.phi)
+    assert not associative_on_all_triples(mul)
+    assert phi_homomorphic_on_all_pairs(mul, G.phi)
 
 
 def test_corrupted_phi_entry_is_caught():
@@ -448,20 +503,21 @@ def test_corrupted_phi_entry_is_caught():
     # and only the homomorphism check can see a broken phi
     S3 = sym_group(3)
     phi = [p + (4,) for p in S3.phi]
-    G = FiniteGroup(size=6, mul=S3.mul, inv=S3.inv, phi=tuple(phi), m=4)
-    assert generators(G) == (1, 2)
+    G = FiniteGroup(S3.mul, tuple(phi))
+    assert G.gens == (1, 2) and G.m == 4
     phi[5] = phi[1]
-    broken = FiniteGroup(size=6, mul=S3.mul, inv=S3.inv, phi=tuple(phi), m=4)
-    assert check_group_axioms(G) and not check_group_axioms(broken)
-    assert not phi_homomorphic_on_all_pairs(broken)
-    for group, ok in ((G, True), (broken, False)):
-        colouring = PairColouring(group=group, base=(0,) + (4,) * 5)
-        colouring.validate()
-        spec = OrbitGraphSpec(colouring=colouring, orbit_count=1, inter={}, seed=0)
-        report = verify_colour_group(spec)
-        assert report.inconsistent == ()
-        assert report.homomorphism is ok
-        assert report.all_consistent is ok
+    colouring = PairColouring(group=G, base=(0,) + (4,) * 5)
+    colouring.validate()
+    spec = OrbitGraphSpec(colouring=colouring, orbit_count=1, inter={}, seed=0)
+    report = verify_colour_group(spec)
+    assert report.inconsistent == () and report.all_consistent
+    assert all(
+        is_colour_consistent(report.graph, action_vertex_perm(spec, a), phi[a]) for a in G.gens
+    )
+    assert not is_phi_homomorphism(S3.mul, colour_lookup(phi), G.gens)
+    assert not phi_homomorphic_on_all_pairs(S3.mul, phi)
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        FiniteGroup(S3.mul, tuple(phi))
 
 
 # -- witness orbits ---------------------------------------------------------------
@@ -555,7 +611,7 @@ def test_sym_complement_m7():
     assert report.exhaustive
     assert report.all_consistent
     assert report.kernel_size == 1
-    assert report.checked == generators(spec.group)
+    assert report.checked == spec.group.gens
     # oracle: a seeded handful of elements checked one by one
     graph = assemble_orbit_graph(spec)
     G = spec.group
@@ -575,9 +631,93 @@ def test_orbit_spec_json_roundtrip():
     assert assemble_orbit_graph(back) == assemble_orbit_graph(spec)
 
 
+def order_two_spec_doc(**changes) -> dict:
+    """Spec JSON over the order-2 group that swaps colours 1 and 2 and fixes 3."""
+    G = group_from_perms([identity(3), (2, 1, 3)])
+    doc = {"group": G.to_json_dict(), "base": {"1": 3}, "N": 1, "inter": {}, "seed": 0}
+    return {**doc, **changes}
+
+
+def test_order_two_spec_doc_loads():
+    doc = order_two_spec_doc()
+    assert OrbitGraphSpec.from_json_dict(doc).to_json_dict() == doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {k: v for k, v in order_two_spec_doc().items() if k != "base"},
+        order_two_spec_doc(group={**order_two_spec_doc()["group"], "phi": [1]}),
+        order_two_spec_doc(base=[]),
+        # the involution moves colour 1, so base colour 1 breaks the inverse constraint
+        order_two_spec_doc(base={"1": 1}),
+        order_two_spec_doc(base={"1": 4}),
+        order_two_spec_doc(base={"01": 3}),
+        order_two_spec_doc(base={"1": 3.0}),
+        order_two_spec_doc(N=2, inter={"0,1": [1, "2"]}),
+        order_two_spec_doc(N=2, inter={"0, 1": [1, 2]}),
+        order_two_spec_doc(N=10**9),
+        order_two_spec_doc(seed=True),
+        order_two_spec_doc(extra=1),
+    ],
+    ids=[
+        "missing-base", "phi-not-rows", "base-is-a-list", "base-breaks-inverse-constraint",
+        "base-out-of-range", "base-key-not-canonical", "base-float", "inter-string-colour",
+        "inter-key-not-canonical", "huge-N", "boolean-seed", "unknown-key",
+    ],
+)
+def test_spec_loading_rejects_malformed_documents(doc):
+    with pytest.raises(ValueError):
+        OrbitGraphSpec.from_json_dict(doc)
+
+
+def json_paths(value, prefix=()):
+    yield prefix
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from json_paths(child, prefix + (key,))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 7) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+VALID_SPEC_DOCS = [
+    order_two_spec_doc(),
+    order_two_spec_doc(N=2, inter={"0,1": [3, 1]}),
+    make_sym3_spec(3, seed=1).to_json_dict(),
+]
+
+
+@st.composite
+def mutated_spec_docs(draw):
+    """A valid spec document with one value replaced or one key deleted."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_SPEC_DOCS)))
+    path = draw(st.sampled_from(list(json_paths(doc))))
+    if not path:
+        return doc
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(st.integers(-1, 4) | json_values)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values | mutated_spec_docs())
+def test_spec_loading_raises_value_error_or_round_trips_exactly(doc):
+    try:
+        spec = OrbitGraphSpec.from_json_dict(doc)
+    except ValueError:
+        return
+    assert json.dumps(spec.to_json_dict(), sort_keys=True) == json.dumps(doc, sort_keys=True)
+
+
 def test_assembled_graph_json_dict():
     spec = make_sym3_spec(2)
-    doc = assembled_graph_json_dict(spec)
+    doc = assembled_graph_json_dict(spec, assemble_orbit_graph(spec))
     assert doc["graph"]["n"] == 12
     assert doc["vertex_labels"][0] == {"orbit": 0, "element": 0}
     assert doc["vertex_labels"][7] == {"orbit": 1, "element": 1}

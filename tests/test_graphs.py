@@ -10,6 +10,7 @@ from coloursym.graphs import (
     WitnessMissingError,
     WitnessQuery,
     check_no_fpf_colour_involution,
+    colour_lookup,
     embed,
     extend_iso,
     find_witness,
@@ -102,6 +103,12 @@ def test_recolour_is_group_action():
     for p in enumerate_sym(3):
         for q in enumerate_sym(3):
             assert recolour(G, compose(p, q)) == recolour(recolour(G, p), q)
+
+
+def test_colour_lookup_maps_colours_and_fixes_zero():
+    assert colour_lookup((2, 3, 1)).tolist() == [0, 2, 3, 1]
+    assert colour_lookup([(1, 2), (2, 1)]).tolist() == [[0, 1, 2], [0, 2, 1]]
+    assert colour_lookup([()]).tolist() == [[0]]
 
 
 def test_recolour_degree_mismatch():
@@ -443,6 +450,14 @@ def test_json_reader_rejects_self_loop_and_range():
         graph_from_edges(2, 2, [[0, 0, 1]])
     with pytest.raises(ValueError):
         graph_from_edges(2, 2, [[0, 2, 1]])
+
+
+def test_json_reader_counts_pairs_before_allocating():
+    # the 2000000 x 2000000 matrix would need 14.6 TiB
+    with pytest.raises(ValueError, match="expected 1999999000000 pairs, got 0"):
+        ColouredGraph.from_json('{"m": 3, "n": 2000000, "colours": []}')
+    with pytest.raises(ValueError, match="nonnegative"):
+        graph_from_edges(3, -2, [[0, 1, 1]] * 3)
 
 
 def test_json_reader_rejects_malformed_document():
