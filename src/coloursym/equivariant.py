@@ -21,19 +21,19 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .graphs import (
     ROW_BLOCK_ENTRIES,
     ColouredGraph,
-    _is_int,
     colour_lookup,
     is_colour_consistent,
 )
 from .perms import (
     Perm,
+    _is_int,
     apply,
     compose,
     cycle_string,
@@ -163,10 +163,28 @@ def _int_rows(value: object) -> bool:
     )
 
 
+def cayley_table(
+    right: Sequence[Sequence[int]], steps: Sequence[tuple[int, int, int]]
+) -> np.ndarray:
+    """Group table from generator columns, right[g][x] = x*g. Each step
+    (y, p, g) says y = p*g with p = 0 or filled by an earlier step; one step
+    per nonidentity label. Column y is right[g] read at column p, since
+    x*y = (x*p)*g."""
+    size = len(steps) + 1
+    columns = [np.asarray(col, dtype=np.int32) for col in right]
+    mul = np.empty((size, size), dtype=np.int32)
+    mul[:, 0] = np.arange(size)
+    for y, p, g in steps:
+        mul[:, y] = columns[g][mul[:, p]]
+    return mul
+
+
 def group_from_perms(perms: Iterable[Perm]) -> FiniteGroup:
     """Turn a set of colour permutations closed under composition and
     containing the identity (a finite such set is a group) into a
-    FiniteGroup whose colour action is the tautological one."""
+    FiniteGroup whose colour action is the tautological one. Labels: the
+    identity, then the rest sorted. Closure is proven by generators (picked
+    as in `generators`) that reach every label and map the set into itself."""
     elems = {tuple(int(x) for x in p) for p in perms}
     if not elems:
         raise ValueError("at least the identity permutation is required")
@@ -181,47 +199,28 @@ def group_from_perms(perms: Iterable[Perm]) -> FiniteGroup:
     if ident not in elems:
         raise ValueError("the identity permutation is missing")
     ordering = [ident] + sorted(elems - {ident})
-    if m <= 15:
-        mul = _perm_table_vectorised(ordering, m)
-    else:
-        index = {p: i for i, p in enumerate(ordering)}
-        mul = np.empty((len(ordering), len(ordering)), dtype=np.int32)
-        for i, p in enumerate(ordering):
-            for j, q in enumerate(ordering):
-                r = index.get(compose(p, q))
-                if r is None:
-                    raise ValueError(
-                        f"set is not closed under composition: "
-                        f"{cycle_string(p)} * {cycle_string(q)}"
-                    )
-                mul[i, j] = r
-    return FiniteGroup(mul=mul, phi=tuple(ordering))
-
-
-def _perm_table_vectorised(ordering: list[Perm], m: int) -> np.ndarray:
-    """Multiplication table via base-m row encodings; needs m <= 15 so the
-    codes fit in int64."""
-    size = len(ordering)
-    arr = np.asarray(ordering, dtype=np.int64) - 1  # 0-based images
-    powers = m ** np.arange(m, dtype=np.int64)
-    codes = arr @ powers
-    sorter = np.argsort(codes)
-    sorted_codes = codes[sorter]
-    mul = np.empty((size, size), dtype=np.int32)
-    for j in range(size):
-        composed = arr[j][arr]  # row i = ordering[i] followed by ordering[j]
-        wanted = composed @ powers
-        pos = np.searchsorted(sorted_codes, wanted)
-        pos[pos == size] = 0
-        misses = np.nonzero(sorted_codes[pos] != wanted)[0]
-        if misses.size:
-            i = int(misses[0])
+    index = {p: i for i, p in enumerate(ordering)}
+    reached = [True] + [False] * (len(ordering) - 1)
+    right: list[list[int]] = []
+    steps: list[tuple[int, int, int]] = []
+    while not all(reached):
+        h = ordering[reached.index(False)]
+        column = [index.get(compose(p, h)) for p in ordering]
+        if None in column:
+            p = ordering[column.index(None)]
             raise ValueError(
-                f"set is not closed under composition: "
-                f"{cycle_string(ordering[i])} * {cycle_string(ordering[j])}"
+                f"set is not closed under composition: {cycle_string(p)} * {cycle_string(h)}"
             )
-        mul[:, j] = sorter[pos]
-    return mul
+        right.append(column)
+        queue = [x for x, seen in enumerate(reached) if seen]
+        for x in queue:  # breadth first; the loop also visits what it appends
+            for g, col in enumerate(right):
+                y = col[x]
+                if not reached[y]:
+                    reached[y] = True
+                    steps.append((y, x, g))
+                    queue.append(y)
+    return FiniteGroup(mul=cayley_table(right, steps), phi=tuple(ordering))
 
 
 def trivial_group(m: int) -> FiniteGroup:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .perms import (
     Perm,
+    _is_int,
     apply,
     cycle_type,
     cycles,
@@ -34,6 +35,7 @@ from .perms import (
 
 OBSTRUCTION_GUARD = 7  # n! vertex permutations are enumerated; 7! is the ceiling
 ROW_BLOCK_ENTRIES = 1 << 20  # whole-matrix scans work on row blocks of about this size
+MAX_PALETTE = int(np.iinfo(np.int32).max)  # colours are stored as int32
 
 
 class WitnessMissingError(RuntimeError):
@@ -134,27 +136,23 @@ class ColouredGraph:
         return "\n".join(lines) + "\n"
 
 
-def _is_int(x: object) -> bool:
-    """An integer, but not a bool: JSON true/false load as Python bools,
-    which are ints to isinstance."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def graph_from_edges(m: int, n: int, entries: Iterable[Iterable[int]]) -> ColouredGraph:
+def graph_from_edges(m: int, n: int, entries: Iterable[Sequence[int]]) -> ColouredGraph:
     """Build a graph from [u, v, c] triples; every pair exactly once. The
     triples are counted before the n x n matrix is allocated, so a huge n
     costs nothing unless that many triples were actually given."""
     entries = list(entries)
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
+    if not 1 <= m <= MAX_PALETTE:
+        raise ValueError(f"palette size must be in 1..{MAX_PALETTE}")
     expected = n * (n - 1) // 2
     if len(entries) != expected:
         raise ValueError(f"expected {expected} pairs, got {len(entries)}")
     C = np.zeros((n, n), dtype=np.int32)
     seen: set[tuple[int, int]] = set()
     for entry in entries:
-        entry = list(entry)
-        if len(entry) != 3 or not all(_is_int(x) for x in entry):
+        triple = isinstance(entry, (list, tuple)) and len(entry) == 3
+        if not triple or not all(_is_int(x) for x in entry):
             raise ValueError(f"colour entry must be [u, v, c], got {entry!r}")
         u, v, c = entry
         if not (0 <= u < n and 0 <= v < n) or u == v:
@@ -310,8 +308,9 @@ def saturate(
     Each sweep enumerates all queries over the vertex set as it stood when
     the sweep began; an unsatisfied query gets a fresh vertex whose edges
     to the parts are forced (colour i to U_i) and whose remaining edges are
-    seeded-random. Stops after a sweep that adds nothing (achieved=True) or
-    after `rounds` sweeps (achieved=False). Deterministic given the seed.
+    seeded-random. Stops after a sweep that adds nothing (achieved=True).
+    After `rounds` sweeps that all added vertices, one more sweep decides
+    achieved without adding any. Deterministic given the seed.
     """
     if k < 1:
         raise ValueError("witness size must be at least 1")
@@ -323,14 +322,14 @@ def saturate(
     buf = np.zeros((cap, cap), dtype=np.int32)
     buf[: G.n, : G.n] = G.colours
     n = G.n
-    achieved = False
-    grew = False
-    for _ in range(rounds):
-        base_n = n
-        added = 0
-        for q in witness_queries(base_n, m, k):
+    for sweep in range(rounds + 1):
+        achieved = True
+        for q in witness_queries(n, m, k):
             if _witness_in_matrix(buf, n, q.parts) is not None:
                 continue
+            achieved = False
+            if sweep == rounds:  # the deciding sweep adds nothing
+                break
             if n == cap:
                 cap *= 2
                 bigger = np.zeros((cap, cap), dtype=np.int32)
@@ -344,12 +343,9 @@ def saturate(
                     c = rng.randrange(m) + 1
                 buf[u, v] = buf[v, u] = c
             n += 1
-            added += 1
-        if added == 0:
-            achieved = True
+        if achieved:
             break
-        grew = True
-    if not grew:
+    if n == G.n:
         return G, achieved
     return ColouredGraph(m=m, n=n, colours=buf[:n, :n].copy()), achieved
 

@@ -23,15 +23,21 @@ Perm = tuple[int, ...]
 MAX_ENUM_DEGREE = 8  # 8! = 40320 is the practical ceiling for full enumeration
 
 
-def is_perm(images: Sequence[int]) -> bool:
-    """Check that images lists each of 1..d exactly once.
+def _is_int(x: object) -> bool:
+    """An integer, but not a bool: JSON true/false load as Python bools,
+    which are ints to isinstance."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
-    >>> is_perm((2, 1, 3)), is_perm((2, 2, 3)), is_perm(())
-    (True, False, True)
+
+def is_perm(images: Sequence[int]) -> bool:
+    """Check that images lists each of 1..d exactly once, as integers.
+
+    >>> is_perm((2, 1, 3)), is_perm((2, 2, 3)), is_perm(()), is_perm((True,))
+    (True, False, True, False)
     """
     seen = [False] * len(images)
     for x in images:
-        if not isinstance(x, int) or not 1 <= x <= len(images) or seen[x - 1]:
+        if not _is_int(x) or not 1 <= x <= len(images) or seen[x - 1]:
             return False
         seen[x - 1] = True
     return True
@@ -191,6 +197,7 @@ def perm_to_json(g: Perm) -> list[int]:
 
 
 def perm_from_json(data: object) -> Perm:
-    if not isinstance(data, list):
-        raise ValueError(f"permutation must be a JSON array, got {type(data).__name__}")
+    """Read a JSON array of integer images; anything else raises ValueError."""
+    if not isinstance(data, list) or not all(_is_int(x) for x in data):
+        raise ValueError(f"permutation must be a JSON array of integers, got {data!r}")
     return perm(data)

@@ -25,9 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional
 
-import numpy as np
-
-from .equivariant import FiniteGroup
+from .equivariant import FiniteGroup, cayley_table
 from .perms import (
     Perm,
     compose,
@@ -364,7 +362,7 @@ def enumerate_cover(m: int, kind: CoverKind) -> SpinCover:
     elements: list[PinElement] = [unit(1, m, kind)]
     index: dict[PinElement, int] = {elements[0]: 0}
     phi: list[Perm] = [identity(m)]
-    parent: list[tuple[int, int]] = [(-1, -1)]
+    steps: list[tuple[int, int, int]] = []  # (y, p, g): y = p * gens[g]
     right: list[list[int]] = [[] for _ in gens]
     target = 2 * math.factorial(m)
     i = 0
@@ -380,22 +378,16 @@ def enumerate_cover(m: int, kind: CoverKind) -> SpinCover:
                 index[y] = j
                 elements.append(y)
                 phi.append(compose(phi[i], gen_projs[gi]))
-                parent.append((i, gi))
+                steps.append((j, i, gi))
             right[gi].append(j)
         i += 1
     size = len(elements)
     if size != target:
         raise RuntimeError(f"closure size {size} != 2 * {m}! = {target}")
-    mul = np.empty((size, size), dtype=np.int32)
-    mul[:, 0] = np.arange(size)
-    right_arrays = [np.asarray(col, dtype=np.int32) for col in right]
-    for y in range(1, size):
-        p, gi = parent[y]
-        mul[:, y] = right_arrays[gi][mul[:, p]]
     return SpinCover(
         kind=kind,
         m=m,
-        group=FiniteGroup(mul=mul, phi=tuple(phi)),
+        group=FiniteGroup(mul=cayley_table(right, steps), phi=tuple(phi)),
         elements=tuple(elements),
         index=index,
         neg_unit_label=index[unit(-1, m, kind)],

@@ -75,6 +75,13 @@ def associative_on_all_triples(mul: np.ndarray) -> bool:
     return all(np.array_equal(MUL[MUL[g, :], :], MUL[g][MUL]) for g in range(len(MUL)))
 
 
+def table_from_all_products(elements, product=compose) -> np.ndarray:
+    """The multiplication table of a closed list of elements, one product
+    at a time: entry [i, j] is the index of product(elements[i], elements[j])."""
+    index = {x: i for i, x in enumerate(elements)}
+    return np.array([[index[product(x, y)] for y in elements] for x in elements])
+
+
 def phi_homomorphic_on_all_pairs(mul: np.ndarray, phi) -> bool:
     """phi(g*h) == phi(g) followed by phi(h) for every pair of labels."""
     size = len(phi)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -120,6 +121,27 @@ def test_out_reuses_the_verified_orbit_graph(tmp_path, capsys, monkeypatch, argv
     assert len(specs) == 1
     doc = json.loads(path.read_text())
     assert ColouredGraph.from_json_dict(doc["graph"]) == assemble(specs[0])
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["complement", "--m", "5"],
+            "c6575b9e18be2a5444065b8b584ab73578dd7bf256c8966cb5221685190f2b76",
+        ),
+        (
+            ["supplement", "--m", "5", "--cover", "hat"],
+            "726b8e69d10465deb886fd8b29ffb85f3dde7018914caffe731c694a58009650",
+        ),
+    ],
+)
+def test_seeded_out_files_keep_their_bytes(tmp_path, capsys, argv, digest):
+    # the digests pin the group label order and every seeded draw
+    path = tmp_path / "orbit.json"
+    code, _, _ = run(capsys, *argv, "--orbits", "2", "--seed", "1", "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 # -- supplement -----------------------------------------------------------------

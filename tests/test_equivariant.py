@@ -19,6 +19,7 @@ from coloursym.equivariant import (
     assemble_orbit_graph,
     assembled_graph_json_dict,
     build_pair_colouring,
+    cayley_table,
     generators,
     group_from_perms,
     is_associative,
@@ -47,13 +48,14 @@ from coloursym.perms import (
     inverse,
     transposition,
 )
-from coloursym.spin import CoverKind, enumerate_cover
+from coloursym.spin import CoverKind, enumerate_cover, pin_mul
 
 from helpers import (
     associative_on_all_triples,
     inconsistent_elements,
     phi_homomorphic_on_all_pairs,
     sym_group,
+    table_from_all_products,
 )
 
 
@@ -81,12 +83,48 @@ def test_group_from_perms_order_two():
 
 
 def test_group_from_perms_rejects_unclosed():
-    with pytest.raises(ValueError):
-        group_from_perms([identity(3), (2, 3, 1)])  # misses the inverse 3-cycle
+    # the generator (1 2 3) maps itself to the missing inverse 3-cycle
+    with pytest.raises(ValueError, match=r"not closed under composition: \(1 2 3\) \* \(1 2 3\)"):
+        group_from_perms([identity(3), (2, 3, 1)])
     with pytest.raises(ValueError):
         group_from_perms([(2, 1, 3)])  # misses the identity
     with pytest.raises(ValueError):
         group_from_perms([])
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_group_from_perms_sym_matches_the_all_products_table(m):
+    G = group_from_perms(reversed(enumerate_sym(m)))
+    assert G.phi == (identity(m), *sorted(enumerate_sym(m))[1:])
+    assert np.array_equal(G.mul, table_from_all_products(G.phi))
+
+
+def test_group_from_perms_proper_subgroup_matches_the_all_products_table():
+    rotations = [(1, 2, 3, 4), (2, 3, 4, 1), (3, 4, 1, 2), (4, 1, 2, 3)]
+    reflections = [(4, 3, 2, 1), (2, 1, 4, 3), (1, 4, 3, 2), (3, 2, 1, 4)]
+    G = group_from_perms(rotations + reflections)  # dihedral, order 8, degree 4
+    assert G.size == 8
+    assert np.array_equal(G.mul, table_from_all_products(G.phi))
+
+
+def test_group_from_perms_degree_above_fifteen_matches_the_all_products_table():
+    cyclic = [tuple((i + k) % 17 + 1 for i in range(17)) for k in range(17)]
+    G = group_from_perms(cyclic)  # the powers of a 17-cycle
+    assert (G.size, G.m, G.gens) == (17, 17, (1,))
+    assert np.array_equal(G.mul, table_from_all_products(G.phi))
+
+
+@pytest.mark.parametrize("kind", list(CoverKind))
+def test_cover_table_matches_the_all_products_table(kind):
+    cover = enumerate_cover(3, kind)
+    assert np.array_equal(cover.group.mul, table_from_all_products(cover.elements, pin_mul))
+
+
+def test_cayley_table_fills_columns_along_the_steps():
+    # Z/4 from the column of its generator 1: 2 = 1*1, 3 = 2*1
+    mul = cayley_table([[1, 2, 3, 0]], [(1, 0, 0), (2, 1, 0), (3, 2, 0)])
+    assert mul.tolist() == [[(x + y) % 4 for y in range(4)] for x in range(4)]
+    assert cayley_table([], []).tolist() == [[0]]
 
 
 def test_multiplication_matches_composition():

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coloursym.graphs import (
     ColouredGraph,
@@ -289,6 +291,16 @@ def test_saturate_reaches_fixpoint_and_sweep_passes():
     assert all(find_witness(H, q) is not None for q in witness_queries(H.n, 3, 2))
 
 
+def test_saturate_checks_the_last_adding_sweep_before_failing():
+    # with this seed the tenth sweep is the first that adds nothing
+    s = 1018370994
+    H, achieved = saturate(random_graph(3, 3, s), 2, s, rounds=9)
+    assert (achieved, H.n) == (True, 67)
+    assert all(find_witness(H, q) is not None for q in witness_queries(H.n, 3, 2))
+    H, achieved = saturate(random_graph(3, 3, s), 2, s, rounds=8)
+    assert (achieved, H.n) == (False, 65)  # the deciding sweep adds nothing
+
+
 def test_saturate_deterministic():
     H1, a1 = saturate(random_graph(3, 3, 4), 2, 77)
     H2, a2 = saturate(random_graph(3, 3, 4), 2, 77)
@@ -465,6 +477,65 @@ def test_json_reader_rejects_malformed_document():
         ColouredGraph.from_json("[1, 2, 3]")
     with pytest.raises(ValueError):
         ColouredGraph.from_json(json.dumps({"m": 2, "n": 1}))
+    for entry in (5, None):
+        with pytest.raises(ValueError, match="colour entry"):
+            ColouredGraph.from_json(json.dumps({"m": 2, "n": 2, "colours": [entry]}))
+    # colours are stored as int32
+    with pytest.raises(ValueError, match="palette size"):
+        ColouredGraph.from_json(json.dumps({"m": 2**32, "n": 2, "colours": [[0, 1, 2**32]]}))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def near_graph_documents(draw):
+    """A valid graph document with at most one part replaced by any JSON value."""
+    doc = random_graph(draw(st.integers(0, 4)), draw(st.integers(2, 4)), 0).to_json_dict()
+    junk = draw(st.integers(-1, 5) | json_values)
+    part = draw(st.sampled_from(["none", "m", "n", "colours", "triple", "number"]))
+    if part in ("m", "n", "colours"):
+        doc[part] = junk
+    elif part != "none" and doc["colours"]:
+        i = draw(st.integers(0, len(doc["colours"]) - 1))
+        if part == "triple":
+            doc["colours"][i] = junk
+        else:
+            doc["colours"][i][draw(st.integers(0, 2))] = junk
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    document=json_values | near_graph_documents(),
+    n=st.integers(0, 6),
+    m=st.integers(2, 4),
+    seed=st.integers(0, 99),
+    data=st.data(),
+)
+def test_json_reader_contract(document, n, m, seed, data):
+    """Any JSON value loads or raises ValueError; a valid graph loads from
+    its pairs in any order and orientation, with unknown keys ignored."""
+    try:
+        assert isinstance(ColouredGraph.from_json(json.dumps(document)), ColouredGraph)
+    except ValueError:
+        pass
+    G = random_graph(n, m, seed)
+    triples = data.draw(st.permutations(G.to_json_dict()["colours"]))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(triples), max_size=len(triples)))
+    key = data.draw(st.text(max_size=5).filter(lambda k: k not in ("m", "n", "colours")))
+    shuffled = {
+        "m": m,
+        "n": n,
+        "colours": [[v, u, c] if flip else [u, v, c] for (u, v, c), flip in zip(triples, flips)],
+        key: data.draw(json_values),
+    }
+    assert ColouredGraph.from_json(json.dumps(shuffled)) == G
 
 
 def test_dot_export():

@@ -193,10 +193,9 @@ def test_json_roundtrip():
     g = (2, 1, 3)
     assert perm_to_json(g) == [2, 1, 3]
     assert perm_from_json([2, 1, 3]) == g
-    with pytest.raises(ValueError):
-        perm_from_json({"not": "a list"})
-    with pytest.raises(ValueError):
-        perm_from_json([1, 1])
+    for data in ({"not": "a list"}, [1, 1], [1.7, 2], [True]):
+        with pytest.raises(ValueError):
+            perm_from_json(data)
 
 
 def test_cycle_string():
