@@ -271,11 +271,14 @@ def cmd_cover_table(args: argparse.Namespace) -> RunReport:
             f"{row.elements_checked} lifts checked",
         )
     if args.m % 8 == 0:
+        # the r = m/2 row holds the lifts of the fixed-point-free involutions
+        half = next(row for row in table.rows if row.r == args.m // 2)
         report.check(
             "supplement-note",
-            True,
-            f"m={args.m}: fixed-point-free involutions lift to order 2 in both "
-            "covers; no supplement from either cover",
+            half.observed_orders == (2,),
+            f"m={args.m}: fixed-point-free involutions lift to order "
+            f"{list(half.observed_orders)} in the {kind.value} cover; order 2 means "
+            f"no supplement from the {kind.value} cover",
         )
     print(table.render_text(), file=sys.stderr)
     return report

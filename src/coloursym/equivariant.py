@@ -28,6 +28,7 @@ import numpy as np
 from .graphs import (
     ROW_BLOCK_ENTRIES,
     ColouredGraph,
+    check_vertex_count,
     colour_lookup,
     is_colour_consistent,
 )
@@ -450,6 +451,7 @@ def make_orbit_spec(
     """Draw every cross-orbit base colour uniformly (seeded)."""
     if f.group is not G and f.group.to_json_dict() != G.to_json_dict():
         raise ValueError("pair colouring was built over a different group")
+    check_vertex_count(orbit_count * G.size)
     rng = random.Random(f"orbit-spec:{seed}")
     inter = {
         (i, j): tuple(rng.randrange(G.m) + 1 for _ in range(G.size))
@@ -587,6 +589,7 @@ def add_witness_orbit(spec: OrbitGraphSpec, q) -> OrbitGraphSpec:
     G = spec.group
     size = G.size
     N = spec.orbit_count
+    check_vertex_count((N + 1) * size)
     if len(q.parts) != G.m:
         raise ValueError(f"query has {len(q.parts)} parts, palette is {G.m}")
     forced: dict[tuple[int, int], int] = {}

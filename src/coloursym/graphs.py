@@ -36,6 +36,7 @@ from .perms import (
 OBSTRUCTION_GUARD = 7  # n! vertex permutations are enumerated; 7! is the ceiling
 ROW_BLOCK_ENTRIES = 1 << 20  # whole-matrix scans work on row blocks of about this size
 MAX_PALETTE = int(np.iinfo(np.int32).max)  # colours are stored as int32
+MAX_VERTICES = 1 << 14  # a 1 GiB int32 matrix; complement --m 7 needs 10080
 
 
 class WitnessMissingError(RuntimeError):
@@ -167,13 +168,20 @@ def graph_from_edges(m: int, n: int, entries: Iterable[Sequence[int]]) -> Colour
     return ColouredGraph(m=m, n=n, colours=C)
 
 
+def check_vertex_count(n: int) -> None:
+    """Refuse n before anything sized by it is drawn or allocated."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if n > MAX_VERTICES:
+        raise ValueError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
+
+
 def random_graph(n: int, m: int, seed: int) -> ColouredGraph:
     """Graph on n vertices with pair colours drawn independently and
     uniformly from 1..m by a deterministic seeded generator."""
     if m < 2:
         raise ValueError("palette size must be at least 2")
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
+    check_vertex_count(n)
     rng = random.Random(f"random-graph:{seed}")
     C = np.zeros((n, n), dtype=np.int32)
     for u in range(n):

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 Perm = tuple[int, ...]
 
 MAX_ENUM_DEGREE = 8  # 8! = 40320 is the practical ceiling for full enumeration
+MAX_BOUND_BITS = 1 << 16  # m^(k^2) is computed only up to about this many bits
 
 
 def _is_int(x: object) -> bool:
@@ -188,6 +189,9 @@ def double_coset_lower_bound(m: int, k: int) -> bool:
         raise ValueError("palette size must be at least 2")
     if k < 1:
         raise ValueError("set size must be at least 1")
+    bits = k * k * m.bit_length()
+    if bits > MAX_BOUND_BITS:
+        raise ValueError(f"m^(k^2) needs up to {bits} bits, above the limit of {MAX_BOUND_BITS}")
     return m ** (k * k) > m * math.factorial(k) ** 2
 
 

@@ -11,9 +11,11 @@ cover a product of r disjoint transpositions lifts to an element of order
 4 exactly when r = 1 or 2 (mod 4), in the hat cover exactly when
 r = 2 or 3 (mod 4).
 
-All coefficients are exact numbers n * (sqrt 2)^(-k) with a unique normal
-form, so group elements compare and hash by value and the enumeration can
-intern them.
+A product of k pair vectors is (sqrt 2)^(-k) times an integer combination
+of at most 2^k blades, so every element is stored that way: one exponent
+k and a sparse tuple of (blade, integer) pairs, in a unique normal form.
+Group elements therefore compare and hash by value and the enumeration
+can intern them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional
 
@@ -40,7 +42,7 @@ from .perms import (
 )
 
 COVER_ENUM_MAX_M = 6  # 2 * 6! = 1440 elements is the enumeration ceiling
-DIRECT_LIFT_MAX_M = 12  # dense blade tables hold 2^m coefficients
+DIRECT_LIFT_MAX_M = 12  # a lift holds up to 2^(m-1) blades; 12 keeps products small
 
 
 class CoverKind(enum.Enum):
@@ -56,7 +58,7 @@ class CoverKind(enum.Enum):
 
 @dataclass(frozen=True)
 class CliffordScalar:
-    """Exact number n * (sqrt 2)^(-k), k >= 0, kept in normal form.
+    """Exact view of one coefficient n * (sqrt 2)^(-k), k >= 0, in normal form.
 
     The reduction n * (sqrt 2)^(-k) = (n/2) * (sqrt 2)^(-(k-2)) is applied
     while n is even and k >= 2, so equal values have equal fields.
@@ -81,27 +83,6 @@ class CliffordScalar:
     def __bool__(self) -> bool:
         return self.n != 0
 
-    def __neg__(self) -> "CliffordScalar":
-        return CliffordScalar(-self.n, self.k)
-
-    def __add__(self, other: "CliffordScalar") -> "CliffordScalar":
-        if self.n == 0:
-            return other
-        if other.n == 0:
-            return self
-        a, b = self, other
-        if (a.k - b.k) % 2 != 0:
-            raise ValueError("cannot add scalars of different sqrt-2 parity")
-        if a.k < b.k:
-            a, b = b, a
-        return CliffordScalar(a.n + b.n * 2 ** ((a.k - b.k) // 2), a.k)
-
-    def __sub__(self, other: "CliffordScalar") -> "CliffordScalar":
-        return self + (-other)
-
-    def __mul__(self, other: "CliffordScalar") -> "CliffordScalar":
-        return CliffordScalar(self.n * other.n, self.k + other.k)
-
     def as_exact(self) -> tuple[Fraction, Fraction]:
         """The value as a + b*sqrt(2) with exact rational a, b."""
         if self.k % 2 == 0:
@@ -118,10 +99,8 @@ class CliffordScalar:
         return f"CliffordScalar({self.n}, {self.k})"
 
 
+# perfbench/tracing.py counts a product's blades as the coeffs not equal to this
 SCALAR_ZERO = CliffordScalar(0)
-SCALAR_ONE = CliffordScalar(1)
-SCALAR_MINUS_ONE = CliffordScalar(-1)
-INV_ROOT2 = CliffordScalar(1, 1)
 
 
 def blade_mul(a: int, b: int, kind: CoverKind) -> tuple[int, int]:
@@ -147,69 +126,76 @@ def blade_mul(a: int, b: int, kind: CoverKind) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class PinElement:
-    """Element of the Clifford algebra with a dense blade-coefficient table
-    (index = blade bitmask). Group elements are parity-homogeneous unit
-    products of vectors; the constructor enforces parity and nonzeroness."""
+    """(sqrt 2)^(-k) times the integer combination of blades in `coeffs`,
+    a tuple of (blade bitmask, integer) pairs. The constructor sorts the
+    pairs by blade, drops zeros and halves every integer while all are even
+    and k >= 2, so equal values have equal fields. Group elements are
+    parity-homogeneous unit products of vectors; the constructor enforces
+    parity and nonzeroness."""
 
     kind: CoverKind
     m: int
-    coeffs: tuple[CliffordScalar, ...]
+    k: int
+    coeffs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        _check_degree(self.m)
-        if len(self.coeffs) != 1 << self.m:
-            raise ValueError(f"expected {1 << self.m} blade coefficients")
-        parities = {mask.bit_count() % 2 for mask, c in enumerate(self.coeffs) if c}
-        if not parities:
+        if not 1 <= self.m <= DIRECT_LIFT_MAX_M:
+            raise ValueError(f"m must be in 1..{DIRECT_LIFT_MAX_M}")
+        if self.k < 0:
+            raise ValueError("the root-two exponent must be nonnegative")
+        coeffs = sorted((mask, n) for mask, n in self.coeffs if n)
+        if not coeffs:
             raise ValueError("the zero element is not a group element")
-        if len(parities) > 1:
+        masks = {mask for mask, _ in coeffs}
+        if len(masks) != len(coeffs) or coeffs[0][0] < 0 or coeffs[-1][0] >> self.m:
+            raise ValueError(f"blades must be distinct bitmasks below 2^{self.m}")
+        if len({mask.bit_count() % 2 for mask in masks}) > 1:
             raise ValueError("element mixes even and odd blades")
+        k = self.k
+        while k >= 2 and all(n % 2 == 0 for _, n in coeffs):
+            coeffs = [(mask, n // 2) for mask, n in coeffs]
+            k -= 2
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     def blades(self) -> Iterator[tuple[int, CliffordScalar]]:
-        for mask, c in enumerate(self.coeffs):
-            if c:
-                yield mask, c
+        for mask, n in self.coeffs:
+            yield mask, CliffordScalar(n, self.k)
 
     def blade_count(self) -> int:
-        return sum(1 for _ in self.blades())
+        return len(self.coeffs)
 
     def __repr__(self) -> str:
         terms = [f"{c!r}*e[{mask:b}]" for mask, c in self.blades()]
         return f"PinElement({self.kind.value}, m={self.m}: {' + '.join(terms)})"
 
 
-def _check_degree(m: int) -> None:
-    if not 1 <= m <= DIRECT_LIFT_MAX_M:
-        raise ValueError(f"m must be in 1..{DIRECT_LIFT_MAX_M}")
-
-
-def _element(kind: CoverKind, m: int, entries: Mapping[int, CliffordScalar]) -> PinElement:
-    _check_degree(m)  # before the 2^m coefficients are allocated
-    coeffs = [SCALAR_ZERO] * (1 << m)
-    for mask, c in entries.items():
-        coeffs[mask] = c
-    return PinElement(kind=kind, m=m, coeffs=tuple(coeffs))
+def _signed_blade(x: PinElement) -> Optional[tuple[int, int]]:
+    """(blade, n) when x is +1 or -1 times a single blade, else None."""
+    if x.k == 0 and len(x.coeffs) == 1 and x.coeffs[0][1] in (1, -1):
+        return x.coeffs[0]
+    return None
 
 
 def unit(sign: int, m: int, kind: CoverKind) -> PinElement:
     """The scalar +1 or -1."""
     if sign not in (1, -1):
         raise ValueError("unit takes sign +1 or -1")
-    return _element(kind, m, {0: CliffordScalar(sign)})
+    return PinElement(kind, m, 0, ((0, sign),))
 
 
 def basis_vector(i: int, m: int, kind: CoverKind) -> PinElement:
     """The generator e_i."""
     if not 1 <= i <= m:
         raise ValueError(f"generator index {i} out of range 1..{m}")
-    return _element(kind, m, {1 << (i - 1): SCALAR_ONE})
+    return PinElement(kind, m, 0, ((1 << (i - 1), 1),))
 
 
 def pair_vector(a: int, b: int, m: int, kind: CoverKind) -> PinElement:
     """(e_a - e_b)/sqrt(2): the unit vector conjugating by (a b)."""
     if a == b or not (1 <= a <= m and 1 <= b <= m):
         raise ValueError(f"invalid pair ({a}, {b}) for m={m}")
-    return _element(kind, m, {1 << (a - 1): INV_ROOT2, 1 << (b - 1): -INV_ROOT2})
+    return PinElement(kind, m, 1, ((1 << (a - 1), 1), (1 << (b - 1), -1)))
 
 
 def coxeter_generator(i: int, m: int, kind: CoverKind) -> PinElement:
@@ -220,44 +206,36 @@ def coxeter_generator(i: int, m: int, kind: CoverKind) -> PinElement:
 
 
 def pin_mul(a: PinElement, b: PinElement) -> PinElement:
-    """Bilinear extension of blade multiplication."""
+    """Bilinear extension of blade multiplication; the exponents add."""
     if a.kind is not b.kind or a.m != b.m:
         raise ValueError("elements live in different algebras")
-    acc: dict[int, CliffordScalar] = {}
-    for mask_a, ca in a.blades():
-        for mask_b, cb in b.blades():
+    acc: dict[int, int] = {}
+    for mask_a, na in a.coeffs:
+        for mask_b, nb in b.coeffs:
             mask, sign = blade_mul(mask_a, mask_b, a.kind)
-            term = ca * cb
-            if sign < 0:
-                term = -term
-            prev = acc.get(mask)
-            acc[mask] = term if prev is None else prev + term
-    return _element(a.kind, a.m, {mask: c for mask, c in acc.items() if c})
+            acc[mask] = acc.get(mask, 0) + sign * na * nb
+    return PinElement(a.kind, a.m, a.k + b.k, tuple(acc.items()))
 
 
 def pin_neg(x: PinElement) -> PinElement:
-    return _element(x.kind, x.m, {mask: -c for mask, c in x.blades()})
+    return replace(x, coeffs=tuple((mask, -n) for mask, n in x.coeffs))
 
 
 def reversal(x: PinElement) -> PinElement:
     """Reverse the generator order inside every blade: a size-s blade picks
-    up the sign (-1)^(s(s-1)/2)."""
-    entries: dict[int, CliffordScalar] = {}
-    for mask, c in x.blades():
-        s = mask.bit_count()
-        entries[mask] = -c if (s * (s - 1) // 2) % 2 else c
-    return _element(x.kind, x.m, entries)
+    up the sign (-1)^(s(s-1)/2), which is -1 exactly when s = 2, 3 (mod 4)."""
+    return replace(
+        x, coeffs=tuple((mask, -n if mask.bit_count() % 4 >= 2 else n) for mask, n in x.coeffs)
+    )
 
 
 def pin_inverse(x: PinElement) -> PinElement:
     """Inverse of a unit product of vectors, via x * reversal(x) = +-1."""
     rev = reversal(x)
-    prod = pin_mul(x, rev)
-    entries = dict(prod.blades())
-    sigma = entries.get(0, SCALAR_ZERO)
-    if set(entries) != {0} or sigma not in (SCALAR_ONE, SCALAR_MINUS_ONE):
+    term = _signed_blade(pin_mul(x, rev))
+    if term is None or term[0] != 0:
         raise ValueError("element is not a unit product of vectors")
-    return rev if sigma == SCALAR_ONE else pin_neg(rev)
+    return rev if term[1] == 1 else pin_neg(rev)
 
 
 def project(x: PinElement) -> Perm:
@@ -267,14 +245,10 @@ def project(x: PinElement) -> Perm:
     inv_x = pin_inverse(x)
     images = []
     for i in range(1, x.m + 1):
-        y = pin_mul(pin_mul(inv_x, basis_vector(i, x.m, x.kind)), x)
-        nonzero = list(y.blades())
-        if len(nonzero) != 1:
+        term = _signed_blade(pin_mul(pin_mul(inv_x, basis_vector(i, x.m, x.kind)), x))
+        if term is None or term[0].bit_count() != 1:
             raise ValueError("conjugate of a generator is not a signed generator")
-        mask, c = nonzero[0]
-        if mask.bit_count() != 1 or c not in (SCALAR_ONE, SCALAR_MINUS_ONE):
-            raise ValueError("conjugate of a generator is not a signed generator")
-        images.append(mask.bit_length())
+        images.append(term[0].bit_length())
     p = tuple(images)
     if not is_perm(p):
         raise ValueError("conjugation does not permute the generators")

@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import json
+import time
 
 import pytest
 
-from coloursym import equivariant
+from coloursym import cli, equivariant
 from coloursym.cli import main
 from coloursym.graphs import ColouredGraph, random_graph
 
@@ -190,7 +192,7 @@ def test_supplement_odd_m_above_enumeration_passes_vacuously(capsys, cover):
 
 
 def test_supplement_beyond_the_direct_lift_limit_is_a_one_line_error(capsys):
-    # m is checked before 2^26 blade coefficients are allocated
+    # m is checked before any algebra element is built
     code, out, err = run(capsys, "supplement", "--m", "26", "--cover", "tilde")
     assert code == 2
     assert out == ""
@@ -213,7 +215,30 @@ def test_cover_table_m8_direct_notes_open_case(capsys):
                          "--direct")
     assert code == 0
     names = {a["name"]: a for a in doc["assertions"]}
-    assert "no supplement" in names["supplement-note"]["detail"]
+    note = names["supplement-note"]
+    assert note["passed"]
+    assert "no supplement" in note["detail"] and "hat cover" in note["detail"]
+    assert "both" not in note["detail"]
+
+
+def test_cover_table_supplement_note_reads_the_r_half_row(capsys, monkeypatch):
+    real = cli.order_rule_table
+
+    def order_four_at_r4(m, kind, mode="auto"):
+        table = real(m, kind, mode)
+        rows = tuple(
+            dataclasses.replace(row, observed_orders=(4,)) if row.r == 4 else row
+            for row in table.rows
+        )
+        return dataclasses.replace(table, rows=rows)
+
+    monkeypatch.setattr(cli, "order_rule_table", order_four_at_r4)
+    code, doc = run_json(capsys, "cover-table", "--m", "8", "--cover", "tilde",
+                         "--direct")
+    assert code == 1
+    names = {a["name"]: a for a in doc["assertions"]}
+    assert not names["supplement-note"]["passed"]
+    assert "order [4] in the tilde cover" in names["supplement-note"]["detail"]
 
 
 # -- saturate and obstruction ------------------------------------------------------
@@ -268,6 +293,28 @@ def test_huge_vertex_count_is_a_one_line_error(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-random", "--n", "1000000", "--m", "3", "--out", "never-written.json"],
+        ["supplement", "--m", "4", "--cover", "hat", "--orbits", "50000"],
+        ["complement", "--m", "3", "--orbits", "100000"],
+        ["coset-bound", "--m", "100000000", "--k", "100000000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_sizes_are_checked_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    # each would allocate gigabytes or run for hours if its size went unchecked
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "limit" in err
 
 
 # -- coset-bound ---------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,11 +16,9 @@ from coloursym.perms import (
     transposition,
 )
 from coloursym.spin import (
-    INV_ROOT2,
-    SCALAR_MINUS_ONE,
-    SCALAR_ONE,
     CliffordScalar,
     CoverKind,
+    PinElement,
     basis_vector,
     blade_mul,
     blocking_involutions,
@@ -44,10 +44,6 @@ from helpers import associative_on_all_triples, phi_homomorphic_on_all_pairs
 
 TILDE, HAT = CoverKind.TILDE, CoverKind.HAT
 
-scalars = st.builds(
-    CliffordScalar, st.integers(-50, 50), st.integers(0, 6)
-)
-
 
 # -- exact scalars ----------------------------------------------------------
 
@@ -57,6 +53,8 @@ def test_scalar_normal_form():
     assert CliffordScalar(6, 2) == CliffordScalar(3, 0)
     assert CliffordScalar(0, 5) == CliffordScalar(0, 0)
     assert CliffordScalar(2, 1).k == 1  # 2/sqrt2 = sqrt2 stays at k=1
+    assert CliffordScalar(2, 1).as_float() == pytest.approx(2**0.5)
+    assert CliffordScalar(-3, 2).as_float() == -1.5
 
 
 def test_scalar_normal_form_is_unique():
@@ -71,37 +69,9 @@ def test_scalar_normal_form_is_unique():
             seen[exact] = (s.n, s.k)
 
 
-def test_scalar_half():
-    half = INV_ROOT2 * INV_ROOT2
-    assert half == CliffordScalar(1, 2)
-    assert half.as_exact() == (Fraction(1, 2), Fraction(0))
-
-
-def test_scalar_addition():
-    assert CliffordScalar(1, 2) + CliffordScalar(1, 2) == SCALAR_ONE
-    assert INV_ROOT2 + INV_ROOT2 == CliffordScalar(2, 1)  # sqrt 2
-    assert CliffordScalar(3) + CliffordScalar(-3) == CliffordScalar(0)
-
-
-def test_scalar_addition_rejects_mixed_parity():
-    with pytest.raises(ValueError):
-        SCALAR_ONE + INV_ROOT2
-
-
 def test_scalar_negative_exponent_rejected():
     with pytest.raises(ValueError):
         CliffordScalar(1, -1)
-
-
-@given(scalars, scalars, scalars)
-def test_scalar_multiplication_associative(a, b, c):
-    assert (a * b) * c == a * (b * c)
-
-
-@given(scalars, scalars)
-def test_scalar_multiplication_commutative_and_float_consistent(a, b):
-    assert a * b == b * a
-    assert abs((a * b).as_float() - a.as_float() * b.as_float()) < 1e-6
 
 
 # -- blades ------------------------------------------------------------------
@@ -184,7 +154,7 @@ def test_pair_vector_projects_to_transposition():
 
 
 def test_degree_is_checked_before_the_coefficients_are_allocated():
-    # 2^40 coefficients would not fit in memory
+    # m is checked before anything else about the element
     with pytest.raises(ValueError, match=r"1\.\.12"):
         unit(1, 40, TILDE)
 
@@ -197,13 +167,52 @@ def test_pin_mul_rejects_mixed_algebras():
 
 
 def test_pin_element_rejects_mixed_parity():
-    from coloursym.spin import PinElement, SCALAR_ZERO
+    # the scalar 1 (even) plus e_1 (odd)
+    with pytest.raises(ValueError, match="even and odd"):
+        PinElement(kind=HAT, m=3, k=0, coeffs=((0, 1), (0b1, 1)))
 
-    coeffs = [SCALAR_ZERO] * 8
-    coeffs[0] = SCALAR_ONE  # scalar (even)
-    coeffs[1] = SCALAR_ONE  # e_1 (odd)
-    with pytest.raises(ValueError):
-        PinElement(kind=HAT, m=3, coeffs=tuple(coeffs))
+
+def test_pin_element_rejects_zero_and_malformed_blades():
+    with pytest.raises(ValueError, match="zero element"):
+        PinElement(HAT, 3, 0, ())
+    with pytest.raises(ValueError, match="zero element"):
+        PinElement(HAT, 3, 2, ((0b11, 0),))
+    with pytest.raises(ValueError, match="distinct"):
+        PinElement(HAT, 3, 0, ((0b11, 1), (0b11, 1)))
+    with pytest.raises(ValueError, match="distinct"):
+        PinElement(HAT, 3, 0, ((0b1000, 1),))
+    with pytest.raises(ValueError, match="distinct"):
+        PinElement(HAT, 3, 0, ((-1, 1),))
+    with pytest.raises(ValueError, match="nonnegative"):
+        PinElement(HAT, 3, -1, ((0, 1),))
+    with pytest.raises(ValueError, match=r"1\.\.12"):
+        PinElement(HAT, 13, 0, ((0, 1),))
+
+
+pin_terms = st.dictionaries(
+    st.sampled_from([0b0, 0b11, 0b101, 0b110, 0b1001, 0b1010, 0b1100, 0b1111]),  # even blades
+    st.integers(-20, 20),
+).filter(lambda d: any(d.values()))
+
+
+@given(pin_terms, st.integers(0, 5), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_pin_element_normal_form(terms, k, j, rng):
+    x = PinElement(TILDE, 4, k, tuple(terms.items()))
+    # the same value with every integer scaled by 2^j and k raised by 2j,
+    # listed in another order and with zero entries left in
+    entries = [(mask, n * 2**j) for mask, n in terms.items()]
+    entries += [(mask, 0) for mask in (0b11, 0b1111) if mask not in terms]
+    rng.shuffle(entries)
+    y = PinElement(TILDE, 4, k + 2 * j, tuple(entries))
+    assert y == x and hash(y) == hash(x)
+    assert (y.k, y.coeffs) == (x.k, x.coeffs)
+    assert list(y.blades()) == list(x.blades())
+    assert list(x.blades()) == [
+        (mask, CliffordScalar(n, k)) for mask, n in sorted(terms.items()) if n
+    ]
+    assert [mask for mask, _ in x.coeffs] == sorted(mask for mask, n in terms.items() if n)
+    assert all(n for _, n in x.coeffs)
+    assert x.k < 2 or any(n % 2 for _, n in x.coeffs)
 
 
 def test_pin_mul_associative_exhaustive_m3():
@@ -231,13 +240,9 @@ def test_reversal_and_inverse():
 
 
 def test_pin_inverse_rejects_non_units():
-    from coloursym.spin import PinElement, SCALAR_ZERO
-
-    coeffs = [SCALAR_ZERO] * 8
-    coeffs[0] = SCALAR_ONE
-    coeffs[0b11] = SCALAR_ONE  # 1 + e1 e2 is not a unit product
+    # 1 + e1 e2 is not a unit product
     with pytest.raises(ValueError):
-        pin_inverse(PinElement(kind=HAT, m=3, coeffs=tuple(coeffs)))
+        pin_inverse(PinElement(kind=HAT, m=3, k=0, coeffs=((0, 1), (0b11, 1))))
 
 
 # -- projection -------------------------------------------------------------------
@@ -265,12 +270,9 @@ def test_project_matches_cover_phi():
 
 
 def test_project_rejects_non_group_elements():
-    from coloursym.spin import PinElement, SCALAR_ZERO
-
-    coeffs = [SCALAR_ZERO] * 8
-    coeffs[0] = CliffordScalar(2)
+    # the scalar 2
     with pytest.raises(ValueError):
-        project(PinElement(kind=HAT, m=3, coeffs=tuple(coeffs)))
+        project(PinElement(kind=HAT, m=3, k=0, coeffs=((0, 2),)))
 
 
 # -- lifts and orders ----------------------------------------------------------------
@@ -411,6 +413,26 @@ def test_cover_json_export():
     assert doc["group"]["size"] == 4
     assert len(doc["elements"]) == 4
     assert doc["elements"][0] == [[0, 1, 0]]  # the unit: blade 0, scalar 1
+
+
+# sha256 of each cover's sorted-key JSON export: pins the element order, the
+# multiplication table and every [mask, n, k] coefficient
+COVER_JSON_SHA256 = {
+    (2, TILDE): "4b7d2978a14798a7cce81cb804d368b18cb77edceea969f2749de0d15a56d96a",
+    (2, HAT): "7e200e91f690175574879647592224f55a0e120a7a5534a27b107a6628328e9d",
+    (3, TILDE): "471265514d3b28e5d056f88da487262f3b5af2137353fdc86fd49629dd6fe3fc",
+    (3, HAT): "f84b84cf30b5a8aa301e3d9db099ddd486769134a13ade1676fa80d804f4be3c",
+    (4, TILDE): "5138c017cf531bb21688c94a2bfd688571fdd6741d80054b5b0ab872d313665d",
+    (4, HAT): "477a4916759bfbee837a4a5b4189d59d56229f26861d4e9978289a5e257bdb02",
+    (5, TILDE): "58a3d6d97ea0ec1e5be9880c97eca451fc20aa18c96fc897a891c923e6ba856f",
+    (5, HAT): "5c68a5d2941688fc34831d242003cab876eecc46dba87673e42f1453075ce7d8",
+}
+
+
+@pytest.mark.parametrize("m, kind", list(COVER_JSON_SHA256))
+def test_cover_json_keeps_its_bytes(m, kind):
+    text = json.dumps(enumerate_cover(m, kind).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == COVER_JSON_SHA256[m, kind]
 
 
 # -- the order rule ----------------------------------------------------------------------
