@@ -391,12 +391,6 @@ class OrbitGraphSpec:
     def vertex_count(self) -> int:
         return self.orbit_count * self.group.size
 
-    def vertex_label(self, v: int) -> tuple[int, int]:
-        """Flat vertex id -> (orbit, element)."""
-        if not 0 <= v < self.vertex_count:
-            raise ValueError(f"vertex {v} out of range")
-        return divmod(v, self.group.size)
-
     def to_json_dict(self) -> dict:
         return {
             "group": self.group.to_json_dict(),

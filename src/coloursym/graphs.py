@@ -5,17 +5,18 @@ dense symmetric matrix with a zero diagonal, so lookups are O(1) and the
 consistency checks below vectorise over whole graphs.
 
 The module covers three things: random generation and recolouring, the
-witness/extension machinery (find_witness, saturate, embed, extend_iso)
-that makes finite graphs behave like the generic coloured graph up to a
-chosen query size, and the exhaustive checker showing that no vertex
-permutation with a 2-cycle can induce a fixed-point-free involution of
-the colours.
+witness/extension machinery (find_witness, missing_queries, saturate,
+embed, extend_iso) that makes finite graphs behave like the generic
+coloured graph up to a chosen query size, and the exhaustive checker
+showing that no vertex permutation with a 2-cycle can induce a
+fixed-point-free involution of the colours.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
@@ -37,6 +38,8 @@ OBSTRUCTION_GUARD = 7  # n! vertex permutations are enumerated; 7! is the ceilin
 ROW_BLOCK_ENTRIES = 1 << 20  # whole-matrix scans work on row blocks of about this size
 MAX_PALETTE = int(np.iinfo(np.int32).max)  # colours are stored as int32
 MAX_VERTICES = 1 << 14  # a 1 GiB int32 matrix; complement --m 7 needs 10080
+MAX_SWEEP_QUERIES = 10**7  # witness queries per sweep; keeps base-m codes in int32
+SWEEP_BLOCK_ENTRIES = 1 << 14  # colours a sweep reads at once; ~200 KB of temporaries
 
 
 class WitnessMissingError(RuntimeError):
@@ -149,6 +152,7 @@ def graph_from_edges(m: int, n: int, entries: Iterable[Sequence[int]]) -> Colour
     expected = n * (n - 1) // 2
     if len(entries) != expected:
         raise ValueError(f"expected {expected} pairs, got {len(entries)}")
+    check_vertex_count(n)
     C = np.zeros((n, n), dtype=np.int32)
     seen: set[tuple[int, int]] = set()
     for entry in entries:
@@ -279,20 +283,6 @@ def witness_queries(n: int, m: int, max_total: int) -> Iterator[WitnessQuery]:
                 yield WitnessQuery(parts)
 
 
-def _witness_in_matrix(C: np.ndarray, n: int, parts: tuple[frozenset[int], ...]) -> Optional[int]:
-    if n == 0:
-        return None
-    ok = np.ones(n, dtype=bool)
-    for colour, part in enumerate(parts, 1):
-        for u in part:
-            ok &= C[:n, u] == colour
-    for part in parts:
-        for u in part:
-            ok[u] = False
-    hits = np.flatnonzero(ok)
-    return int(hits[0]) if hits.size else None
-
-
 def _check_query(G: ColouredGraph, q: WitnessQuery) -> None:
     if len(q.parts) != G.m:
         raise ValueError(f"query has {len(q.parts)} parts, palette is {G.m}")
@@ -305,7 +295,40 @@ def find_witness(G: ColouredGraph, q: WitnessQuery) -> Optional[int]:
     """Smallest vertex outside all parts joined by colour i to all of U_i,
     or None if no such vertex exists."""
     _check_query(G, q)
-    return _witness_in_matrix(G.colours, G.n, q.parts)
+    ok = np.ones(G.n, dtype=bool)
+    for colour, part in enumerate(q.parts, 1):
+        for u in part:
+            ok &= G.colours[:, u] == colour  # the zero diagonal rules out u itself
+    hits = np.flatnonzero(ok)
+    return int(hits[0]) if hits.size else None
+
+
+def missing_queries(G: ColouredGraph, k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The queries of total size <= k that have no witness, in
+    witness_queries order, as (vertices, colours): vertex i of the sorted
+    tuple lies in part colours[i]. Every vertex w outside a tuple U reads
+    its colours C[w, U] as a base-m code, so the queries on U that miss are
+    the codes that no outside vertex has; ascending code is product order."""
+    n, m, sizes = G.n, G.m, range(min(k, G.n) + 1)
+    totals = itertools.accumulate(math.comb(n, s) * m**s for s in sizes)  # lazy: stops early
+    if any(total > MAX_SWEEP_QUERIES for total in totals):
+        raise ValueError(f"queries of size <= {k} over {n} vertices and {m} colours "
+                         f"exceed the limit of {MAX_SWEEP_QUERIES} per sweep")
+    missing = []
+    for size in sizes:
+        codes = m**size
+        place = m ** np.arange(size - 1, -1, -1, dtype=np.int32)  # first vertex, top digit
+        tuples = itertools.combinations(range(n), size)
+        while chunk := list(itertools.islice(tuples, max(1, SWEEP_BLOCK_ENTRIES // (n + 1)))):
+            U = np.array(chunk, dtype=np.intp).reshape(len(chunk), size)
+            seen = np.zeros(len(chunk) * codes + 1, dtype=bool)  # the last slot is a sink
+            code = (G.colours[:, U] - 1) @ place + np.arange(len(chunk), dtype=np.int32) * codes
+            code[U, np.arange(len(chunk))[:, None]] = len(chunk) * codes  # w inside U
+            seen[code] = True
+            hole = np.flatnonzero(~seen[:-1])
+            colours = hole[:, None] // place % m + 1
+            missing += zip(map(tuple, U[hole // codes].tolist()), map(tuple, colours.tolist()))
+    return missing
 
 
 def saturate(
@@ -313,49 +336,34 @@ def saturate(
 ) -> tuple[ColouredGraph, bool]:
     """Append witnesses until every query of total size <= k has one.
 
-    Each sweep enumerates all queries over the vertex set as it stood when
-    the sweep began; an unsatisfied query gets a fresh vertex whose edges
-    to the parts are forced (colour i to U_i) and whose remaining edges are
-    seeded-random. Stops after a sweep that adds nothing (achieved=True).
-    After `rounds` sweeps that all added vertices, one more sweep decides
-    achieved without adding any. Deterministic given the seed.
+    Each sweep takes the missing queries of the graph as it stood when the
+    sweep began. One that no vertex added earlier in the sweep witnesses
+    gets a fresh vertex, its edges forced to the parts (colour i to U_i)
+    and seeded-random elsewhere. Stops after a sweep that adds nothing
+    (achieved=True); after `rounds` sweeps that all added vertices, one
+    more sweep decides achieved without adding any. Deterministic.
     """
     if k < 1:
         raise ValueError("witness size must be at least 1")
     if rounds < 1:
         raise ValueError("at least one sweep is required")
     rng = random.Random(f"saturate:{seed}")
-    m = G.m
-    cap = max(16, 2 * G.n)
-    buf = np.zeros((cap, cap), dtype=np.int32)
-    buf[: G.n, : G.n] = G.colours
-    n = G.n
     for sweep in range(rounds + 1):
-        achieved = True
-        for q in witness_queries(n, m, k):
-            if _witness_in_matrix(buf, n, q.parts) is not None:
-                continue
-            achieved = False
-            if sweep == rounds:  # the deciding sweep adds nothing
-                break
-            if n == cap:
-                cap *= 2
-                bigger = np.zeros((cap, cap), dtype=np.int32)
-                bigger[:n, :n] = buf[:n, :n]
-                buf = bigger
-            forced = {u: i for i, part in enumerate(q.parts, 1) for u in part}
-            v = n
-            for u in range(v):
-                c = forced.get(u)
-                if c is None:
-                    c = rng.randrange(m) + 1
-                buf[u, v] = buf[v, u] = c
-            n += 1
-        if achieved:
+        missing = missing_queries(G, k)
+        if not missing or sweep == rounds:  # the deciding sweep adds nothing
             break
-    if n == G.n:
-        return G, achieved
-    return ColouredGraph(m=m, n=n, colours=buf[:n, :n].copy()), achieved
+        n = v = G.n  # pad once: a vertex per missing query, within the limit checked below
+        D = np.pad(G.colours, (0, min(len(missing), max(1, MAX_VERTICES - n))))
+        for verts, colours in missing:
+            if np.all(D[n:v, list(verts)] == colours, axis=1).any():
+                continue
+            check_vertex_count(v + 1)
+            forced = dict(zip(verts, colours))
+            for u in range(v):
+                D[u, v] = D[v, u] = forced.get(u) or rng.randrange(G.m) + 1
+            v += 1
+        G = ColouredGraph(m=G.m, n=v, colours=D[:v, :v])
+    return G, not missing
 
 
 def embed(H: ColouredGraph, G: ColouredGraph) -> tuple[int, ...]:

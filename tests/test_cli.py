@@ -302,12 +302,22 @@ def test_huge_vertex_count_is_a_one_line_error(tmp_path, capsys):
         ["supplement", "--m", "4", "--cover", "hat", "--orbits", "50000"],
         ["complement", "--m", "3", "--orbits", "100000"],
         ["coset-bound", "--m", "100000000", "--k", "100000000"],
+        pytest.param(
+            ["saturate", "--in", "small.json", "--k", "100000000", "--out", "never-written.json"],
+            id="saturate-huge-k",
+        ),
+        pytest.param(
+            ["saturate", "--in", "wide.json", "--k", "2", "--out", "never-written.json"],
+            id="saturate-huge-palette",
+        ),
     ],
     ids=lambda argv: argv[0],
 )
 def test_sizes_are_checked_before_any_work(tmp_path, capsys, monkeypatch, argv):
     # each would allocate gigabytes or run for hours if its size went unchecked
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "small.json").write_text(random_graph(3, 3, 1).to_json())
+    (tmp_path / "wide.json").write_text('{"m": 100000, "n": 2, "colours": [[0, 1, 5]]}')
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 2

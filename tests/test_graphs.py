@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coloursym import graphs
 from coloursym.graphs import (
     ColouredGraph,
     PartialIso,
@@ -18,6 +20,7 @@ from coloursym.graphs import (
     find_witness,
     graph_from_edges,
     is_colour_consistent,
+    missing_queries,
     random_graph,
     recolour,
     saturate,
@@ -266,6 +269,43 @@ def test_witness_queries_enumeration_order_and_count():
     assert len(set(qs)) == len(qs)
 
 
+def one_colour(n):
+    """The complete graph on n vertices with every pair coloured 1."""
+    return graph_from_edges(1, n, [[u, v, 1] for u, v in itertools.combinations(range(n), 2)])
+
+
+def oracle_missing(G, k):
+    """missing_queries' answer, computed query by query through find_witness."""
+    out = []
+    for q in witness_queries(G.n, G.m, k):
+        if find_witness(G, q) is None:
+            verts = tuple(sorted(q.vertices()))
+            colours = tuple(i for v in verts for i, part in enumerate(q.parts, 1) if v in part)
+            out.append((verts, colours))
+    return out
+
+
+def test_missing_queries_agrees_with_find_witness_in_order():
+    for n, m in itertools.product(range(7), range(1, 5)):
+        for seed in range(3):
+            G = one_colour(n) if m == 1 else random_graph(n, m, seed)  # random_graph needs m >= 2
+            for k in range(4):
+                assert missing_queries(G, k) == oracle_missing(G, k), (n, m, seed, k)
+
+
+def test_missing_queries_counts_the_sweep_before_any_work(monkeypatch):
+    G = random_graph(3, 3, 0)  # 1 + 3*3 + 3*9 = 37 queries of size <= 2
+    monkeypatch.setattr(graphs, "MAX_SWEEP_QUERIES", 64)
+    missing_queries(G, 50)  # sizes stop at n: 37 + 27 = 64 queries
+    monkeypatch.setattr(graphs, "MAX_SWEEP_QUERIES", 37)
+    missing_queries(G, 2)
+    with pytest.raises(ValueError, match="limit of 37"):
+        missing_queries(G, 3)
+    monkeypatch.setattr(graphs, "MAX_SWEEP_QUERIES", 36)
+    with pytest.raises(ValueError, match="limit of 36"):
+        missing_queries(G, 2)
+
+
 # -- saturation ----------------------------------------------------------------
 
 
@@ -325,6 +365,39 @@ def test_saturate_input_validation():
         saturate(G, 0, 0)
     with pytest.raises(ValueError):
         saturate(G, 1, 0, rounds=0)
+
+
+@pytest.mark.parametrize(
+    "case, result, digest",
+    [
+        ((3, 3, 1, 2, 8), (True, 67), "20d5cb0c972940cb2a2097a501c47ba75b23c0ed32e45d10b88ee2a16193457e"),
+        ((3, 3, 2, 2, 8), (True, 64), "039301e4dc26d5d9b945995deeca95a9f758780f1fbf5f0f6c613f1d277fdc7c"),
+        ((3, 3, 3, 2, 8), (True, 62), "daed17e16da9c47e0cac03c8ef0acdaa9c63060c41c42f2c17a3bb0ae50ab354"),
+        ((3, 3, 1018370994, 2, 9), (True, 67), "f6345754c0a13ae30d5bd2bcf9dd193a3391635b7bebc85870e1622e1310f915"),
+        ((3, 3, 1018370994, 2, 8), (False, 65), "50a9831b4f42e6517558d51572d8484487b18734bd7fb00786431973a708c4a2"),
+        ((2, 3, 0, 3, 1), (False, 11), "fee0dd05edfa46aad06a54d295acc0faee5df3d611557d8d5004e26d202d5b9b"),
+        ((4, 2, 5, 3, 8), (True, 81), "49a8fe6820d94d52268dd978aed94e53f6d6c03bff5bf669641bf09e59353ddc"),
+        ((5, 4, 3, 2, 8), (True, 135), "7a141139dd507047cb8e7463c32b309ddf22884c0ff2ddfc16f19904079f62f2"),
+        ((0, 2, 4, 2, 8), (True, 18), "49aeb5d842c73239e054ffbac0fa52318cabc66b6678f08b75910261aa3584a8"),
+    ],
+)
+def test_saturate_keeps_its_bytes(case, result, digest):
+    # (n, m, seed, k, rounds) -> (achieved, final n) and the sha256 of the
+    # graph JSON, as the query-by-query sweep produced them
+    n, m, s, k, r = case
+    H, achieved = saturate(random_graph(n, m, s), k, s, rounds=r)
+    assert (achieved, H.n) == result
+    assert hashlib.sha256(H.to_json().encode()).hexdigest() == digest
+
+
+def test_saturate_stops_at_the_vertex_limit(monkeypatch):
+    # saturate(random_graph(3, 3, 1), 2, 1) ends at 67 vertices
+    expected, _ = saturate(random_graph(3, 3, 1), 2, 1)
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 66)
+    with pytest.raises(ValueError, match="67 vertices exceed the limit of 66"):
+        saturate(random_graph(3, 3, 1), 2, 1)
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 67)
+    assert saturate(random_graph(3, 3, 1), 2, 1) == (expected, True)
 
 
 # -- embedding and partial isomorphisms ----------------------------------------
@@ -470,6 +543,13 @@ def test_json_reader_counts_pairs_before_allocating():
         ColouredGraph.from_json('{"m": 3, "n": 2000000, "colours": []}')
     with pytest.raises(ValueError, match="nonnegative"):
         graph_from_edges(3, -2, [[0, 1, 1]] * 3)
+
+
+def test_json_reader_applies_the_vertex_limit(monkeypatch):
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 3)
+    with pytest.raises(ValueError, match="4 vertices exceed the limit of 3"):
+        one_colour(4)
+    assert one_colour(3).n == 3
 
 
 def test_json_reader_rejects_malformed_document():
