@@ -23,7 +23,6 @@ from .graphs import (
     ObstructionReport,
     PartialIso,
     WitnessMissingError,
-    WitnessQuery,
     check_no_fpf_colour_involution,
     embed,
     extend_iso,

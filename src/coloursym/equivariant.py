@@ -28,6 +28,8 @@ import numpy as np
 from .graphs import (
     ROW_BLOCK_ENTRIES,
     ColouredGraph,
+    Query,
+    check_query,
     check_vertex_count,
     colour_lookup,
     is_colour_consistent,
@@ -575,33 +577,23 @@ def verify_colour_group(spec: OrbitGraphSpec) -> ColourGroupReport:
     )
 
 
-def add_witness_orbit(spec: OrbitGraphSpec, q) -> OrbitGraphSpec:
-    """Append one orbit whose identity vertex witnesses the query q: for a
-    vertex of q's part U_c the connecting colour is forced to c, all other
-    new cross colours are seeded-random. Colours between pre-existing
-    vertices are untouched."""
+def add_witness_orbit(spec: OrbitGraphSpec, q: Query) -> OrbitGraphSpec:
+    """Append one orbit whose identity vertex witnesses the query
+    q = (vertices, colours): its colour to vertices[i] is forced to
+    colours[i], all other new cross colours are seeded-random. Colours
+    between pre-existing vertices are untouched."""
     G = spec.group
     size = G.size
     N = spec.orbit_count
     check_vertex_count((N + 1) * size)
-    if len(q.parts) != G.m:
-        raise ValueError(f"query has {len(q.parts)} parts, palette is {G.m}")
-    forced: dict[tuple[int, int], int] = {}
-    for colour, part in enumerate(q.parts, 1):
-        for v in part:
-            if not 0 <= v < spec.vertex_count:
-                raise ValueError(f"query vertex {v} lies outside the existing orbits")
-            forced[divmod(v, size)] = colour
+    verts, colours = check_query(q, spec.vertex_count, G.m)
+    forced = {divmod(v, size): int(c) for v, c in zip(verts, colours)}
     rng = random.Random(f"orbit-spec:{spec.seed}:{N}")
     inter = dict(spec.inter)
     for j in range(N):
-        values = []
-        for x in range(size):
-            c = forced.get((j, x))
-            if c is None:
-                c = rng.randrange(G.m) + 1
-            values.append(c)
-        inter[(j, N)] = tuple(values)
+        inter[(j, N)] = tuple(
+            forced.get((j, x)) or rng.randrange(G.m) + 1 for x in range(size)
+        )
     return OrbitGraphSpec(
         colouring=spec.colouring, orbit_count=N + 1, inter=inter, seed=spec.seed
     )

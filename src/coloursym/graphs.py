@@ -10,6 +10,11 @@ embed, extend_iso) that makes finite graphs behave like the generic
 coloured graph up to a chosen query size, and the exhaustive checker
 showing that no vertex permutation with a 2-cycle can induce a
 fixed-point-free involution of the colours.
+
+A witness query is a pair (vertices, colours) of equal-length sequences:
+distinct vertices, each given a colour. Its witnesses are the vertices
+joined to vertices[i] by colours[i] for every i. The extension property's
+disjoint sets U_1..U_m are the query's vertices of each colour.
 """
 
 from __future__ import annotations
@@ -42,6 +47,9 @@ MAX_SWEEP_QUERIES = 10**7  # witness queries per sweep; keeps base-m codes in in
 SWEEP_BLOCK_ENTRIES = 1 << 14  # colours a sweep reads at once; ~200 KB of temporaries
 
 
+Query = tuple[Sequence[int], Sequence[int]]  # (vertices, colours); see the module docstring
+
+
 class WitnessMissingError(RuntimeError):
     """A witness query had no solution; the target graph is not saturated enough."""
 
@@ -55,13 +63,15 @@ class ColouredGraph:
     colours: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("palette size must be at least 1")
+        if not 1 <= self.m <= MAX_PALETTE:
+            raise ValueError(f"palette size must be in 1..{MAX_PALETTE}")
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        C = np.array(self.colours, dtype=np.int32, copy=True)
+        C = np.asarray(self.colours)  # checked in its own dtype, then narrowed
         if C.shape != (self.n, self.n):
             raise ValueError(f"colour matrix must be {self.n}x{self.n}, got {C.shape}")
+        if not np.issubdtype(C.dtype, np.integer):
+            raise ValueError(f"colours must be integers, got {C.dtype}")
         if self.n:
             if np.diagonal(C).any():
                 raise ValueError("diagonal must be zero (no self-pairs)")
@@ -71,6 +81,7 @@ class ColouredGraph:
             # when none is negative, none exceeds m and none is zero
             if C.min() < 0 or C.max() > self.m or np.count_nonzero(C) != self.n * (self.n - 1):
                 raise ValueError(f"colours must lie in 1..{self.m}")
+        C = C.astype(np.int32)  # always a copy: the caller's array stays theirs
         C.flags.writeable = False
         object.__setattr__(self, "colours", C)
 
@@ -231,82 +242,42 @@ def is_colour_consistent(G: ColouredGraph, s: Perm, pi: Perm) -> bool:
 # -- witness queries -------------------------------------------------------
 
 
-class WitnessQuery:
-    """Pairwise disjoint vertex sets U_1..U_m; a witness is a vertex outside
-    all of them joined by colour i to every vertex of U_i."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Iterable[Iterable[int]]):
-        frozen = tuple(frozenset(int(v) for v in part) for part in parts)
-        total = sum(len(p) for p in frozen)
-        union: set[int] = set()
-        for part in frozen:
-            for v in part:
-                if v < 0:
-                    raise ValueError("vertices must be nonnegative")
-            union |= part
-        if len(union) != total:
-            raise ValueError("query parts must be pairwise disjoint")
-        self.parts = frozen
-
-    @property
-    def total_size(self) -> int:
-        return sum(len(p) for p in self.parts)
-
-    def vertices(self) -> frozenset[int]:
-        out: set[int] = set()
-        for part in self.parts:
-            out |= part
-        return frozenset(out)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, WitnessQuery) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        shown = {i: sorted(p) for i, p in enumerate(self.parts, 1) if p}
-        return f"WitnessQuery({shown})"
-
-
-def witness_queries(n: int, m: int, max_total: int) -> Iterator[WitnessQuery]:
-    """All queries over vertices 0..n-1 with total part size <= max_total,
-    in a fixed order: by total size, then chosen vertices, then colours."""
+def witness_queries(n: int, m: int, max_total: int) -> Iterator[Query]:
+    """All queries over vertices 0..n-1 with at most max_total vertices, in
+    a fixed order: by size, then chosen vertices, then colours."""
     for size in range(max_total + 1):
         for verts in itertools.combinations(range(n), size):
-            for assignment in itertools.product(range(1, m + 1), repeat=size):
-                parts: list[set[int]] = [set() for _ in range(m)]
-                for v, c in zip(verts, assignment):
-                    parts[c - 1].add(v)
-                yield WitnessQuery(parts)
+            for colours in itertools.product(range(1, m + 1), repeat=size):
+                yield verts, colours
 
 
-def _check_query(G: ColouredGraph, q: WitnessQuery) -> None:
-    if len(q.parts) != G.m:
-        raise ValueError(f"query has {len(q.parts)} parts, palette is {G.m}")
-    for v in q.vertices():
-        if v >= G.n:
-            raise ValueError(f"query vertex {v} out of range 0..{G.n - 1}")
+def check_query(q: Query, n: int, m: int) -> Query:
+    """Return q = (vertices, colours), or raise unless it pairs distinct
+    vertices of 0..n-1 one to one with colours of 1..m."""
+    verts, colours = q
+    if len(verts) != len(colours):
+        raise ValueError(f"query pairs {len(verts)} vertices with {len(colours)} colours")
+    if len(set(verts)) != len(verts):
+        raise ValueError(f"query vertices {tuple(verts)} repeat")
+    if not all(0 <= v < n for v in verts):
+        raise ValueError(f"query vertices must lie in 0..{n - 1}")
+    if not all(1 <= c <= m for c in colours):
+        raise ValueError(f"query colours must lie in 1..{m}")
+    return verts, colours
 
 
-def find_witness(G: ColouredGraph, q: WitnessQuery) -> Optional[int]:
-    """Smallest vertex outside all parts joined by colour i to all of U_i,
-    or None if no such vertex exists."""
-    _check_query(G, q)
-    ok = np.ones(G.n, dtype=bool)
-    for colour, part in enumerate(q.parts, 1):
-        for u in part:
-            ok &= G.colours[:, u] == colour  # the zero diagonal rules out u itself
-    hits = np.flatnonzero(ok)
+def find_witness(G: ColouredGraph, q: Query) -> Optional[int]:
+    """Smallest vertex joined by colours[i] to vertices[i] for every i, or
+    None if no such vertex exists. The zero diagonal keeps q's own vertices
+    out."""
+    verts, colours = check_query(q, G.n, G.m)
+    hits = np.flatnonzero(np.all(G.colours[:, list(verts)] == colours, axis=1))
     return int(hits[0]) if hits.size else None
 
 
-def missing_queries(G: ColouredGraph, k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The queries of total size <= k that have no witness, in
-    witness_queries order, as (vertices, colours): vertex i of the sorted
-    tuple lies in part colours[i]. Every vertex w outside a tuple U reads
+def missing_queries(G: ColouredGraph, k: int) -> list[Query]:
+    """The queries of at most k vertices that have no witness, in
+    witness_queries order. Every vertex w outside a tuple U reads
     its colours C[w, U] as a base-m code, so the queries on U that miss are
     the codes that no outside vertex has; ascending code is product order."""
     n, m, sizes = G.n, G.m, range(min(k, G.n) + 1)
@@ -334,14 +305,15 @@ def missing_queries(G: ColouredGraph, k: int) -> list[tuple[tuple[int, ...], tup
 def saturate(
     G: ColouredGraph, k: int, seed: int, rounds: int = 8
 ) -> tuple[ColouredGraph, bool]:
-    """Append witnesses until every query of total size <= k has one.
+    """Append witnesses until every query of at most k vertices has one.
 
     Each sweep takes the missing queries of the graph as it stood when the
     sweep began. One that no vertex added earlier in the sweep witnesses
-    gets a fresh vertex, its edges forced to the parts (colour i to U_i)
-    and seeded-random elsewhere. Stops after a sweep that adds nothing
-    (achieved=True); after `rounds` sweeps that all added vertices, one
-    more sweep decides achieved without adding any. Deterministic.
+    gets a fresh vertex, its edges to the query's vertices forced to the
+    query's colours and seeded-random elsewhere. Stops after a sweep that
+    adds nothing (achieved=True); after `rounds` sweeps that all added
+    vertices, one more sweep decides achieved without adding any.
+    Deterministic.
     """
     if k < 1:
         raise ValueError("witness size must be at least 1")
@@ -375,11 +347,7 @@ def embed(H: ColouredGraph, G: ColouredGraph) -> tuple[int, ...]:
         raise ValueError("palette sizes differ")
     images: list[int] = []
     for v in range(H.n):
-        parts = [
-            {images[u] for u in range(v) if H.colours[u, v] == i}
-            for i in range(1, H.m + 1)
-        ]
-        w = find_witness(G, WitnessQuery(parts))
+        w = find_witness(G, (images, H.colours[:v, v]))
         if w is None:
             raise WitnessMissingError(
                 f"no witness while placing vertex {v}; saturate the target further"
@@ -448,11 +416,7 @@ def extend_iso(A: ColouredGraph, B: ColouredGraph, p: PartialIso, v: int) -> Par
     mapping = p.as_dict()
     if v in mapping:
         raise ValueError(f"vertex {v} already mapped")
-    parts = [
-        {mapping[u] for u in mapping if A.colours[u, v] == i}
-        for i in range(1, A.m + 1)
-    ]
-    w = find_witness(B, WitnessQuery(parts))
+    w = find_witness(B, (list(mapping.values()), A.colours[list(mapping), v]))
     if w is None:
         raise WitnessMissingError(
             f"no witness to extend the map by vertex {v}; saturate the target further"
@@ -524,17 +488,15 @@ class ObstructionReport:
         }
 
 
-def check_no_fpf_colour_involution(
-    G: ColouredGraph, guard: int = OBSTRUCTION_GUARD
-) -> ObstructionReport:
+def check_no_fpf_colour_involution(G: ColouredGraph) -> ObstructionReport:
     """Exhaust all vertex permutations containing a 2-cycle against all
     fixed-point-free involutions of the colours; every pair must fail
     is_colour_consistent, and each failure is cited with a 2-cycle whose
     edge colour the colour involution moves."""
     if G.m % 2 != 0:
         raise ValueError("the obstruction concerns even palette sizes only")
-    if G.n > guard:
-        raise ValueError(f"vertex count {G.n} exceeds the exhaustion guard {guard}")
+    if G.n > OBSTRUCTION_GUARD:
+        raise ValueError(f"vertex count {G.n} exceeds the exhaustion guard {OBSTRUCTION_GUARD}")
     fpf_involutions = [
         pi
         for pi in enumerate_sym(G.m)

@@ -24,6 +24,20 @@ from coloursym.graphs import (
 from coloursym.perms import compose, enumerate_sym
 
 
+def bad_queries(n: int, m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Witness queries that every query check over n >= 2 vertices and m
+    colours must refuse, one fault each."""
+    return [
+        ((n,), (1,)),  # vertex beyond n - 1
+        ((-1,), (1,)),  # negative vertex
+        ((0, 0), (1, 2)),  # duplicate vertex
+        ((0,), (0,)),  # colour 0
+        ((0,), (m + 1,)),  # colour m + 1
+        ((0, 1), (1,)),  # more vertices than colours
+        ((0,), (1, 1)),  # more colours than vertices
+    ]
+
+
 def sym_group(m: int) -> FiniteGroup:
     return group_from_perms(enumerate_sym(m))
 

@@ -33,7 +33,6 @@ from coloursym.equivariant import (
     verify_colour_group,
 )
 from coloursym.graphs import (
-    WitnessQuery,
     colour_lookup,
     find_witness,
     is_colour_consistent,
@@ -52,6 +51,7 @@ from coloursym.spin import CoverKind, enumerate_cover, pin_mul
 
 from helpers import (
     associative_on_all_triples,
+    bad_queries,
     inconsistent_elements,
     phi_homomorphic_on_all_pairs,
     sym_group,
@@ -563,7 +563,7 @@ def test_corrupted_phi_entry_is_caught():
 
 def test_add_witness_orbit_empty_query():
     spec = make_sym3_spec(1)
-    grown = add_witness_orbit(spec, WitnessQuery([set(), set(), set()]))
+    grown = add_witness_orbit(spec, ((), ()))
     assert grown.orbit_count == 2
     assert set(grown.inter) == {(0, 1)}
 
@@ -571,7 +571,7 @@ def test_add_witness_orbit_empty_query():
 def test_add_witness_orbit_forces_colours():
     spec = make_sym3_spec(1)
     x = 4
-    grown = add_witness_orbit(spec, WitnessQuery([{x}, set(), set()]))
+    grown = add_witness_orbit(spec, ((x,), (1,)))
     graph = assemble_orbit_graph(grown)
     assert graph.colour_of(x, 6) == 1  # vertex 6 is the new orbit's identity
 
@@ -579,17 +579,16 @@ def test_add_witness_orbit_forces_colours():
 def test_add_witness_orbit_preserves_existing_colours():
     spec = make_sym3_spec(2)
     before = assemble_orbit_graph(spec)
-    grown = add_witness_orbit(spec, WitnessQuery([{0, 7}, {3}, set()]))
+    grown = add_witness_orbit(spec, ((0, 3, 7), (1, 2, 1)))
     after = assemble_orbit_graph(grown)
     assert np.array_equal(after.colours[: before.n, : before.n], before.colours)
 
 
 def test_add_witness_orbit_rejects_out_of_range():
     spec = make_sym3_spec(1)
-    with pytest.raises(ValueError):
-        add_witness_orbit(spec, WitnessQuery([{6}, set(), set()]))
-    with pytest.raises(ValueError):
-        add_witness_orbit(spec, WitnessQuery([{0}, {1}]))
+    for q in bad_queries(spec.vertex_count, spec.group.m):
+        with pytest.raises(ValueError):
+            add_witness_orbit(spec, q)
 
 
 def test_add_witness_orbit_sweep_saturates_original_vertices():
@@ -607,8 +606,8 @@ def test_add_witness_orbit_sweep_saturates_original_vertices():
 
 def test_verify_after_witness_orbits():
     spec = make_sym3_spec(1)
-    spec = add_witness_orbit(spec, WitnessQuery([{0}, {1}, {2}]))
-    spec = add_witness_orbit(spec, WitnessQuery([{8}, set(), {0}]))
+    spec = add_witness_orbit(spec, ((0, 1, 2), (1, 2, 3)))
+    spec = add_witness_orbit(spec, ((0, 8), (3, 1)))
     report = verify_colour_group(spec)
     assert report.passed and report.kernel_size == 1
 

@@ -12,7 +12,6 @@ from coloursym.graphs import (
     ColouredGraph,
     PartialIso,
     WitnessMissingError,
-    WitnessQuery,
     check_no_fpf_colour_involution,
     colour_lookup,
     embed,
@@ -38,7 +37,7 @@ from coloursym.perms import (
     transposition,
 )
 
-from helpers import all_two_colourings
+from helpers import all_two_colourings, bad_queries
 
 
 def single_edge(c: int, m: int = 2) -> ColouredGraph:
@@ -225,46 +224,39 @@ def test_obstruction_citations_name_moved_colours():
 # -- witness queries -----------------------------------------------------------
 
 
-def test_witness_query_validation():
-    q = WitnessQuery([{0, 1}, {2}])
-    assert q.total_size == 3
-    assert q.vertices() == {0, 1, 2}
-    with pytest.raises(ValueError):
-        WitnessQuery([{0}, {0}])
-    with pytest.raises(ValueError):
-        WitnessQuery([{-1}, set()])
-
-
 def test_find_witness_vacuous_query():
     G = random_graph(4, 2, 0)
-    assert find_witness(G, WitnessQuery([set(), set()])) == 0
+    assert find_witness(G, ((), ())) == 0
 
 
 def test_find_witness_absent():
     G = single_edge(1)
-    assert find_witness(G, WitnessQuery([{0}, {1}])) is None
+    assert find_witness(G, ((0, 1), (1, 2))) is None
 
 
 def test_find_witness_picks_smallest():
     # path: 0-1 colour 1, 0-2 colour 1, 1-2 colour 2
     G = graph_from_edges(2, 3, [[0, 1, 1], [0, 2, 1], [1, 2, 2]])
-    assert find_witness(G, WitnessQuery([{0}, set()])) == 1
+    assert find_witness(G, ((0,), (1,))) == 1
+    # the vertices need not ascend; colour i goes with vertex i
+    assert find_witness(G, ((2, 0), (2, 1))) == 1
+    assert find_witness(G, ((2, 0), (1, 2))) is None
 
 
 def test_find_witness_rejects_bad_query():
     G = random_graph(3, 2, 0)
-    with pytest.raises(ValueError):
-        find_witness(G, WitnessQuery([{5}, set()]))
-    with pytest.raises(ValueError):
-        find_witness(G, WitnessQuery([{0}]))
+    for q in bad_queries(G.n, G.m):
+        with pytest.raises(ValueError):
+            find_witness(G, q)
 
 
 def test_witness_queries_enumeration_order_and_count():
     qs = list(witness_queries(3, 2, 2))
     # sizes 0,1,2: 1 + 3*2 + 3*4 = 19
     assert len(qs) == 19
-    assert qs[0] == WitnessQuery([set(), set()])
-    sizes = [q.total_size for q in qs]
+    assert qs[:4] == [((), ()), ((0,), (1,)), ((0,), (2,)), ((1,), (1,))]
+    assert qs[7:9] == [((0, 1), (1, 1)), ((0, 1), (1, 2))]
+    sizes = [len(verts) for verts, _ in qs]
     assert sizes == sorted(sizes)
     assert len(set(qs)) == len(qs)
 
@@ -276,13 +268,7 @@ def one_colour(n):
 
 def oracle_missing(G, k):
     """missing_queries' answer, computed query by query through find_witness."""
-    out = []
-    for q in witness_queries(G.n, G.m, k):
-        if find_witness(G, q) is None:
-            verts = tuple(sorted(q.vertices()))
-            colours = tuple(i for v in verts for i, part in enumerate(q.parts, 1) if v in part)
-            out.append((verts, colours))
-    return out
+    return [q for q in witness_queries(G.n, G.m, k) if find_witness(G, q) is None]
 
 
 def test_missing_queries_agrees_with_find_witness_in_order():
@@ -638,3 +624,16 @@ def test_graph_constructor_validation():
     for off in (0, -1):
         with pytest.raises(ValueError):
             ColouredGraph(m=2, n=2, colours=np.array([[0, off], [off, 0]], dtype=np.int32))
+    # the range is checked before colours narrow to int32: 2^32 + 1 would wrap to 1
+    for dtype in (np.int64, np.uint64):
+        with pytest.raises(ValueError, match="1..2"):
+            ColouredGraph(m=2, n=2, colours=np.array([[0, 2**32 + 1], [2**32 + 1, 0]], dtype=dtype))
+    for bad in (np.array([[0, 1.7], [1.7, 0]]), np.array([[0, 1.0], [1.0, 0]]), np.eye(2, dtype=bool)):
+        with pytest.raises(ValueError, match="integers"):
+            ColouredGraph(m=2, n=2, colours=bad)
+    for m in (0, graphs.MAX_PALETTE + 1, 2**40):
+        with pytest.raises(ValueError, match="palette size"):
+            ColouredGraph(m=m, n=0, colours=np.zeros((0, 0), dtype=np.int32))
+    G = ColouredGraph(m=2, n=2, colours=np.array([[0, 2], [2, 0]], dtype=np.uint64))
+    assert G.colours.dtype == np.int32 and G.colour_of(0, 1) == 2
+    assert ColouredGraph(m=graphs.MAX_PALETTE, n=0, colours=np.zeros((0, 0), dtype=np.int8)).n == 0
