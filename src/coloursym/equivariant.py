@@ -344,14 +344,23 @@ def pair_colour(f: PairColouring, x: int, y: int) -> int:
     return apply(G.phi[x], f.base[G.product(y, G.inverse_of(x))])
 
 
+def _orbit_block(G: FiniteGroup, quotient: np.ndarray, b: Sequence[int]) -> np.ndarray:
+    """The block [y, z] = phi(z)(b[quotient[y, z]]) for quotient[y, z] =
+    y * z^-1: colours between two orbits, or inside one when b is the base
+    colouring, whose b[0] = 0 gives the zero diagonal."""
+    cols = np.arange(G.size)[None, :]
+    return G.phi_table[cols, np.asarray(b, dtype=np.int32)[quotient]]
+
+
+def _quotients(G: FiniteGroup) -> np.ndarray:
+    """[y, z] = y * z^-1."""
+    return G.mul[np.ix_(np.arange(G.size), G.inv)]
+
+
 def pair_colour_matrix(f: PairColouring) -> np.ndarray:
     """All pair colours at once: entry [x, y] is pair_colour(f, x, y), with
     a zero diagonal."""
-    G = f.group
-    size = G.size
-    base = np.asarray(f.base, dtype=np.int32)
-    idx = G.mul[np.ix_(np.arange(size), G.inv)].T  # [x, y] = y * x^-1
-    return G.phi_table[np.arange(size)[:, None], base[idx]]
+    return _orbit_block(f.group, _quotients(f.group), f.base).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,15 +473,13 @@ def assemble_orbit_graph(spec: OrbitGraphSpec) -> ColouredGraph:
     G = spec.group
     size = G.size
     n = spec.vertex_count
-    F = pair_colour_matrix(spec.colouring)
+    quotient = _quotients(G)
+    F = _orbit_block(G, quotient, spec.colouring.base).T
     C = np.zeros((n, n), dtype=np.int32)
     for i in range(spec.orbit_count):
         C[i * size : (i + 1) * size, i * size : (i + 1) * size] = F
-    idx = G.mul[np.ix_(np.arange(size), G.inv)]  # [y, z] = y * z^-1
-    cols = np.arange(size)[None, :]
     for (i, j), values in sorted(spec.inter.items()):
-        b = np.asarray(values, dtype=np.int32)
-        block = G.phi_table[cols, b[idx]]
+        block = _orbit_block(G, quotient, values)
         C[i * size : (i + 1) * size, j * size : (j + 1) * size] = block
         C[j * size : (j + 1) * size, i * size : (i + 1) * size] = block.T
     return ColouredGraph(m=G.m, n=n, colours=C)
@@ -532,20 +539,6 @@ class ColourGroupReport:
             f"vertices by {self.argument} over {len(self.checked)} generators: "
             f"{self.all_consistent}; |K| = {self.kernel_size}"
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "group_size": self.group_size,
-            "orbit_count": self.orbit_count,
-            "vertex_count": self.vertex_count,
-            "argument": self.argument,
-            "checked_count": len(self.checked),
-            "inconsistent": list(self.inconsistent),
-            "kernel": list(self.kernel),
-            "kernel_size": self.kernel_size,
-            "all_consistent": self.all_consistent,
-            "passed": self.passed,
-        }
 
 
 def verify_colour_group(spec: OrbitGraphSpec) -> ColourGroupReport:

@@ -438,15 +438,6 @@ class ObstructionCitation:
     colour: int
     image_colour: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vertex_perm": list(self.vertex_perm),
-            "colour_perm": list(self.colour_perm),
-            "edge": list(self.edge),
-            "colour": self.colour,
-            "image_colour": self.image_colour,
-        }
-
 
 @dataclass(frozen=True)
 class ObstructionReport:
@@ -472,20 +463,6 @@ class ObstructionReport:
             f"{self.pairs_checked} pairs checked, "
             f"{len(self.consistent_pairs)} consistent (expected 0)"
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "vertex_perm_count": self.vertex_perm_count,
-            "colour_involution_count": self.colour_involution_count,
-            "pairs_checked": self.pairs_checked,
-            "consistent_pairs": [
-                [list(s), list(pi)] for s, pi in self.consistent_pairs
-            ],
-            "citations": [c.to_json_dict() for c in self.citations],
-            "passed": self.passed,
-        }
 
 
 def check_no_fpf_colour_involution(G: ColouredGraph) -> ObstructionReport:

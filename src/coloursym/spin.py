@@ -382,11 +382,24 @@ def predicted_lift_order(r: int, kind: CoverKind) -> int:
     return 4 if residue in wanted else 2
 
 
+def transposition_product(m: int, r: int) -> Perm:
+    """(1 2)(3 4)...(2r-1 2r) in degree m."""
+    if not 0 <= 2 * r <= m:
+        raise ValueError(f"{r} disjoint transpositions do not fit in degree {m}")
+    return from_cycles(m, [(i, i + 1) for i in range(1, 2 * r, 2)])
+
+
 def canonical_fpf_involution(m: int) -> Perm:
     """(1 2)(3 4)...(m-1 m) for even m."""
     if m % 2 != 0 or m < 2:
         raise ValueError("an even degree is required")
-    return from_cycles(m, [(i, i + 1) for i in range(1, m, 2)])
+    return transposition_product(m, m // 2)
+
+
+def lift_orders(p: Perm, kind: CoverKind) -> tuple[int, int]:
+    """Orders of the two preimages of p: lift(p, kind) and its negation."""
+    x = lift(p, kind)
+    return order(x), order(pin_neg(x))
 
 
 @dataclass(frozen=True)
@@ -407,17 +420,6 @@ class OrderRuleRow:
             and table_ok
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "expected_order": self.expected_order,
-            "observed_orders": list(self.observed_orders),
-            "elements_checked": self.elements_checked,
-            "lifts_agree": self.lifts_agree,
-            "table_matches_direct": self.table_matches_direct,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class OrderRuleReport:
@@ -429,15 +431,6 @@ class OrderRuleReport:
     @property
     def passed(self) -> bool:
         return all(row.passed for row in self.rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "kind": self.kind.value,
-            "mode": self.mode,
-            "rows": [row.to_json_dict() for row in self.rows],
-            "passed": self.passed,
-        }
 
     def render_text(self) -> str:
         lines = [
@@ -455,72 +448,58 @@ class OrderRuleReport:
         return "\n".join(lines)
 
 
-def _cycle_type_perms(m: int, r: int) -> list[Perm]:
-    wanted = tuple(sorted([1] * (m - 2 * r) + [2] * r))
-    return [p for p in enumerate_sym(m) if cycle_type(p) == wanted]
-
-
 def order_rule_table(m: int, kind: CoverKind, mode: str = "auto") -> OrderRuleReport:
-    """Orders of both lifts of every product of r disjoint transpositions,
-    for each r <= m/2.
+    """Orders of both lifts of products of r disjoint transpositions, for
+    each r <= m/2.
 
-    Exhaustive mode (m within the enumeration guard) walks every element of
-    the relevant cycle type in the enumerated cover and cross-checks the
-    direct power computation against the interned multiplication table;
-    direct mode lifts one canonical representative per r and is available
-    up to m = 12.
+    Direct mode lifts only the canonical product (1 2)(3 4)...(2r-1 2r) and
+    is available up to m = 12. That suffices by conjugacy: every product of
+    r disjoint transpositions is a conjugate s^-1 q s of the canonical one q,
+    and conjugating by a lift of s carries the two lifts of q onto the two
+    lifts of s^-1 q s without changing their orders. Exhaustive mode (m
+    within the enumeration guard) tests that argument: it lifts every
+    product of the cycle type and cross-checks the orders of both lifts
+    against the interned multiplication table of the enumerated cover.
     """
     if mode == "auto":
         mode = "exhaustive" if m <= COVER_ENUM_MAX_M else "direct"
     if mode not in ("exhaustive", "direct"):
         raise ValueError(f"unknown mode {mode!r}")
-    rows = []
+    if mode == "direct" and m > DIRECT_LIFT_MAX_M:
+        raise ValueError(f"direct mode supports m up to {DIRECT_LIFT_MAX_M}")
+    cover = None
+    classes: dict[tuple[int, ...], list[Perm]] = {}
     if mode == "exhaustive":
         cover = enumerate_cover(m, kind)
-        for r in range(1, m // 2 + 1):
-            observed: set[int] = set()
-            checked = 0
-            lifts_agree = True
-            table_ok = True
-            for p in _cycle_type_perms(m, r):
-                x = lift(p, kind)
-                label = cover.label_of(x)
-                if label is None:
-                    raise RuntimeError("lift missing from the enumerated cover")
-                o_direct = order(x)
-                o_table = cover.order_by_table(label)
-                o_neg = cover.order_by_table(cover.negate_label(label))
-                table_ok &= o_direct == o_table
-                lifts_agree &= o_table == o_neg
-                observed |= {o_table, o_neg}
-                checked += 2
-            rows.append(
-                OrderRuleRow(
-                    r=r,
-                    expected_order=predicted_lift_order(r, kind),
-                    observed_orders=tuple(sorted(observed)),
-                    elements_checked=checked,
-                    lifts_agree=lifts_agree,
-                    table_matches_direct=table_ok,
-                )
+        # one label per permutation; the other preimage is its negation
+        preimage = {p: g for g, p in enumerate(cover.group.phi)}
+        for p in enumerate_sym(m):
+            classes.setdefault(cycle_type(p), []).append(p)
+    rows = []
+    for r in range(1, m // 2 + 1):
+        q = transposition_product(m, r)
+        perms = classes[cycle_type(q)] if cover is not None else [q]
+        observed: set[int] = set()
+        lifts_agree = True
+        table_ok = True
+        for p in perms:
+            orders = lift_orders(p, kind)
+            observed.update(orders)
+            lifts_agree &= orders[0] == orders[1]
+            if cover is not None:
+                g = preimage[p]
+                by_table = (cover.order_by_table(g), cover.order_by_table(cover.negate_label(g)))
+                table_ok &= sorted(by_table) == sorted(orders)
+        rows.append(
+            OrderRuleRow(
+                r=r,
+                expected_order=predicted_lift_order(r, kind),
+                observed_orders=tuple(sorted(observed)),
+                elements_checked=2 * len(perms),
+                lifts_agree=lifts_agree,
+                table_matches_direct=table_ok if cover is not None else None,
             )
-    else:
-        if m > DIRECT_LIFT_MAX_M:
-            raise ValueError(f"direct mode supports m up to {DIRECT_LIFT_MAX_M}")
-        for r in range(1, m // 2 + 1):
-            p = from_cycles(m, [(2 * i + 1, 2 * i + 2) for i in range(r)])
-            x = lift(p, kind)
-            o1, o2 = order(x), order(pin_neg(x))
-            rows.append(
-                OrderRuleRow(
-                    r=r,
-                    expected_order=predicted_lift_order(r, kind),
-                    observed_orders=tuple(sorted({o1, o2})),
-                    elements_checked=2,
-                    lifts_agree=o1 == o2,
-                    table_matches_direct=None,
-                )
-            )
+        )
     return OrderRuleReport(m=m, kind=kind, mode=mode, rows=tuple(rows))
 
 
@@ -545,4 +524,4 @@ def supplement_condition_direct(m: int, kind: CoverKind) -> bool:
     so the cover passes iff their lifts have order 4."""
     if m % 2 != 0 or m < 2:
         raise ValueError("an even palette size is required")
-    return order(lift(canonical_fpf_involution(m), kind)) == 4
+    return lift_orders(canonical_fpf_involution(m), kind)[0] == 4

@@ -1,11 +1,13 @@
+import ast
 import dataclasses
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
-from coloursym import cli, equivariant
+from coloursym import cli, equivariant, graphs, spin
 from coloursym.cli import main
 from coloursym.graphs import ColouredGraph, random_graph
 
@@ -180,6 +182,31 @@ def test_supplement_m8_reports_both_covers_blocked(capsys):
     assert not names["supplement-condition-tilde"]["passed"]
     assert not names["supplement-condition-hat"]["passed"]
     assert not names["both-covers-blocked"]["passed"]
+
+
+def test_supplement_m10_tilde_decides_on_its_own_cover(capsys):
+    code, doc = run_json(capsys, "supplement", "--m", "10", "--cover", "tilde")
+    assert code == 0
+    assert [(a["name"], a["passed"]) for a in doc["assertions"]] == [
+        ("supplement-condition-tilde", True)
+    ]
+
+
+def test_supplement_m10_hat_blocked_also_reports_the_tilde_cover(capsys):
+    code, doc = run_json(capsys, "supplement", "--m", "10", "--cover", "hat")
+    assert code == 1
+    assert [(a["name"], a["passed"]) for a in doc["assertions"]] == [
+        ("supplement-condition-hat", False),
+        ("supplement-condition-tilde", True),
+    ]
+
+
+def test_supplement_m12_hat_passes(capsys):
+    code, doc = run_json(capsys, "supplement", "--m", "12", "--cover", "hat")
+    assert code == 0
+    assert [(a["name"], a["passed"]) for a in doc["assertions"]] == [
+        ("supplement-condition-hat", True)
+    ]
 
 
 @pytest.mark.parametrize("cover", ["tilde", "hat"])
@@ -366,3 +393,23 @@ def test_text_report_has_verdict_lines(capsys):
     assert "[PASS] all-elements-consistent" in out
     assert out.strip().endswith(")")
     assert "result: PASS" in out
+
+
+# -- the benchmark tracer's patch points -------------------------------------------------
+
+
+def test_every_name_the_tracer_patches_exists():
+    # perfbench/tracing.py swaps each (owner, name) in `patches` through
+    # owner.__dict__, so a renamed or dropped name breaks the traced runs
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text()
+    owners = {"cli": cli, "spin": spin, "equivariant": equivariant, "graphs": graphs,
+              "ColouredGraph": ColouredGraph}
+    patched = [
+        (elt.elts[0].id, elt.elts[1].value)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "patches"
+        for elt in node.value.elts
+    ]
+    assert ("cli", "order") in patched and ("cli", "lift") in patched
+    missing = [(owner, name) for owner, name in patched if name not in owners[owner].__dict__]
+    assert missing == []

@@ -19,6 +19,7 @@ from coloursym.spin import (
     CliffordScalar,
     CoverKind,
     PinElement,
+    SpinCover,
     basis_vector,
     blade_mul,
     blocking_involutions,
@@ -37,6 +38,7 @@ from coloursym.spin import (
     reversal,
     supplement_condition,
     supplement_condition_direct,
+    transposition_product,
     unit,
 )
 
@@ -477,6 +479,37 @@ def test_order_rule_table_m8_direct():
         row = {row.r: row for row in table.rows}[4]
         assert row.observed_orders == (2,)
         assert table.passed
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", [TILDE, HAT])
+def test_direct_mode_agrees_with_the_exhaustive_oracle(m, kind):
+    # direct mode lifts one product per r and rests on conjugacy
+    def fields(mode):
+        rows = order_rule_table(m, kind, mode).rows
+        return [(row.r, row.expected_order, row.observed_orders, row.passed) for row in rows]
+
+    assert fields("direct") == fields("exhaustive")
+
+
+def test_exhaustive_mode_checks_both_lifts_against_the_table(monkeypatch):
+    real = SpinCover.order_by_table
+
+    def wrong_on_one_lift(self, g):
+        return real(self, g) + (g > self.negate_label(g))
+
+    monkeypatch.setattr(SpinCover, "order_by_table", wrong_on_one_lift)
+    table = order_rule_table(4, HAT, "exhaustive")
+    assert [row.table_matches_direct for row in table.rows] == [False, False]
+    assert not table.passed
+
+
+def test_transposition_product():
+    assert transposition_product(5, 2) == from_cycles(5, [(1, 2), (3, 4)])
+    assert transposition_product(3, 0) == identity(3)
+    assert transposition_product(6, 3) == canonical_fpf_involution(6)
+    with pytest.raises(ValueError):
+        transposition_product(5, 3)
 
 
 def test_order_rule_table_mode_validation():
