@@ -46,7 +46,6 @@ from .perms import (
     is_involution,
 )
 from .spin import (
-    CliffordScalar,
     CoverKind,
     PinElement,
     SpinCover,

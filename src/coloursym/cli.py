@@ -17,8 +17,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .equivariant import (
     FixedPointFreeInvolution,
+    OrbitGraphSpec,
     assembled_graph_json_dict,
     build_pair_colouring,
     make_orbit_spec,
@@ -99,11 +102,18 @@ def _write_file(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _histogram(G: ColouredGraph) -> dict[int, int]:
-    counts = {c: 0 for c in range(1, G.m + 1)}
-    for _, _, c in G.pairs():
-        counts[c] += 1
-    return counts
+def _histogram(G: ColouredGraph) -> list[int]:
+    """Entry c - 1 counts the pairs of colour c. The matrix is symmetric with
+    a zero diagonal, so it holds each pair twice and bin 0 holds the diagonal."""
+    counts = np.bincount(G.colours.ravel(), minlength=G.m + 1)[1:] // 2
+    return counts.tolist()
+
+
+def _write_orbit_graph(
+    report: RunReport, path: str, spec: OrbitGraphSpec, graph: ColouredGraph
+) -> None:
+    _write_file(path, json.dumps(assembled_graph_json_dict(spec, graph), sort_keys=True) + "\n")
+    report.check("graph-written", True, path)
 
 
 def cmd_gen_random(args: argparse.Namespace) -> RunReport:
@@ -119,7 +129,7 @@ def cmd_gen_random(args: argparse.Namespace) -> RunReport:
         "graph-written",
         True,
         f"n={G.n} m={G.m} colour histogram "
-        + " ".join(f"{c}:{hist[c]}" for c in sorted(hist)),
+        + " ".join(f"{c}:{count}" for c, count in enumerate(hist, start=1)),
     )
     if args.dot:
         _write_file(args.dot, G.to_dot())
@@ -147,11 +157,7 @@ def cmd_complement(args: argparse.Namespace) -> RunReport:
             f"|K| = {ver.kernel_size} (complement behaviour needs 1)",
         )
         if args.out:
-            _write_file(
-                args.out,
-                json.dumps(assembled_graph_json_dict(spec, ver.graph), sort_keys=True) + "\n",
-            )
-            report.check("graph-written", True, args.out)
+            _write_orbit_graph(report, args.out, spec, ver.graph)
     else:
         G = symmetric_group(m)
         witness = None
@@ -249,11 +255,7 @@ def cmd_supplement(args: argparse.Namespace) -> RunReport:
         f"K = {list(ver.kernel)}, the labels of +1 and -1",
     )
     if args.out:
-        _write_file(
-            args.out,
-            json.dumps(assembled_graph_json_dict(spec, ver.graph), sort_keys=True) + "\n",
-        )
-        report.check("graph-written", True, args.out)
+        _write_orbit_graph(report, args.out, spec, ver.graph)
     return report
 
 

@@ -44,14 +44,6 @@ def is_perm(images: Sequence[int]) -> bool:
     return True
 
 
-def perm(images: Iterable[int]) -> Perm:
-    """Validate and freeze an image sequence into a permutation."""
-    p = tuple(int(x) for x in images)
-    if not is_perm(p):
-        raise ValueError(f"not a permutation of 1..{len(p)}: {p!r}")
-    return p
-
-
 def identity(d: int) -> Perm:
     """The identity permutation of degree d.
 
@@ -194,14 +186,3 @@ def double_coset_lower_bound(m: int, k: int) -> bool:
         raise ValueError(f"m^(k^2) needs up to {bits} bits, above the limit of {MAX_BOUND_BITS}")
     return m ** (k * k) > m * math.factorial(k) ** 2
 
-
-def perm_to_json(g: Perm) -> list[int]:
-    """Permutations serialize as JSON arrays of 1-based images."""
-    return list(g)
-
-
-def perm_from_json(data: object) -> Perm:
-    """Read a JSON array of integer images; anything else raises ValueError."""
-    if not isinstance(data, list) or not all(_is_int(x) for x in data):
-        raise ValueError(f"permutation must be a JSON array of integers, got {data!r}")
-    return perm(data)

@@ -15,7 +15,9 @@ A product of k pair vectors is (sqrt 2)^(-k) times an integer combination
 of at most 2^k blades, so every element is stored that way: one exponent
 k and a sparse tuple of (blade, integer) pairs, in a unique normal form.
 Group elements therefore compare and hash by value and the enumeration
-can intern them.
+can intern them. Read one term at a time, an element is a list of
+(blade, n, k) triples, each coefficient n * (sqrt 2)^(-k) reduced on its
+own (`coefficient`); the cover JSON writes elements that way.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterator, Mapping, Optional
 
 from .equivariant import FiniteGroup, cayley_table
@@ -56,51 +57,19 @@ class CoverKind(enum.Enum):
         return -1 if self is CoverKind.TILDE else 1
 
 
-@dataclass(frozen=True)
-class CliffordScalar:
-    """Exact view of one coefficient n * (sqrt 2)^(-k), k >= 0, in normal form.
-
-    The reduction n * (sqrt 2)^(-k) = (n/2) * (sqrt 2)^(-(k-2)) is applied
-    while n is even and k >= 2, so equal values have equal fields.
-    """
-
-    n: int
-    k: int = 0
-
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError("the root-two exponent must be nonnegative")
-        n, k = self.n, self.k
-        if n == 0:
-            k = 0
-        else:
-            while n % 2 == 0 and k >= 2:
-                n //= 2
-                k -= 2
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-
-    def __bool__(self) -> bool:
-        return self.n != 0
-
-    def as_exact(self) -> tuple[Fraction, Fraction]:
-        """The value as a + b*sqrt(2) with exact rational a, b."""
-        if self.k % 2 == 0:
-            return Fraction(self.n, 2 ** (self.k // 2)), Fraction(0)
-        return Fraction(0), Fraction(self.n, 2 ** ((self.k + 1) // 2))
-
-    def as_float(self) -> float:
-        a, b = self.as_exact()
-        return float(a) + float(b) * math.sqrt(2)
-
-    def __repr__(self) -> str:
-        if self.k == 0:
-            return f"CliffordScalar({self.n})"
-        return f"CliffordScalar({self.n}, {self.k})"
+def coefficient(n: int, k: int) -> tuple[int, int]:
+    """Normal form (n, k) of one term's coefficient n * (sqrt 2)^(-k), n != 0
+    and k >= 0: n * (sqrt 2)^(-k) = (n/2) * (sqrt 2)^(-(k-2)) is applied
+    while n is even and k >= 2, so equal values give equal pairs."""
+    while n % 2 == 0 and k >= 2:
+        n //= 2
+        k -= 2
+    return n, k
 
 
-# perfbench/tracing.py counts a product's blades as the coeffs not equal to this
-SCALAR_ZERO = CliffordScalar(0)
+# perfbench/tracing.py counts a product's blades as the coeffs not equal to
+# this; every entry of coeffs is a (blade, nonzero integer) pair, so none is
+SCALAR_ZERO = (0, 0)
 
 
 def blade_mul(a: int, b: int, kind: CoverKind) -> tuple[int, int]:
@@ -158,16 +127,11 @@ class PinElement:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
-    def blades(self) -> Iterator[tuple[int, CliffordScalar]]:
+    def blades(self) -> Iterator[tuple[int, int, int]]:
+        """Each term as (blade, n, k): n * (sqrt 2)^(-k) times the blade,
+        with (n, k) in the normal form of `coefficient`."""
         for mask, n in self.coeffs:
-            yield mask, CliffordScalar(n, self.k)
-
-    def blade_count(self) -> int:
-        return len(self.coeffs)
-
-    def __repr__(self) -> str:
-        terms = [f"{c!r}*e[{mask:b}]" for mask, c in self.blades()]
-        return f"PinElement({self.kind.value}, m={self.m}: {' + '.join(terms)})"
+            yield (mask, *coefficient(n, self.k))
 
 
 def _signed_blade(x: PinElement) -> Optional[tuple[int, int]]:
@@ -296,9 +260,6 @@ class SpinCover:
     index: Mapping[PinElement, int]
     neg_unit_label: int
 
-    def label_of(self, x: PinElement) -> Optional[int]:
-        return self.index.get(x)
-
     def negate_label(self, g: int) -> int:
         return int(self.group.mul[self.neg_unit_label, g])
 
@@ -317,9 +278,7 @@ class SpinCover:
             "m": self.m,
             "group": self.group.to_json_dict(),
             "neg_unit_label": self.neg_unit_label,
-            "elements": [
-                [[mask, c.n, c.k] for mask, c in x.blades()] for x in self.elements
-            ],
+            "elements": [[list(term) for term in x.blades()] for x in self.elements],
         }
 
 
@@ -465,6 +424,8 @@ def order_rule_table(m: int, kind: CoverKind, mode: str = "auto") -> OrderRuleRe
         mode = "exhaustive" if m <= COVER_ENUM_MAX_M else "direct"
     if mode not in ("exhaustive", "direct"):
         raise ValueError(f"unknown mode {mode!r}")
+    if m < 2:
+        raise ValueError(f"m={m} is below the lower limit 2: no transposition fits")
     if mode == "direct" and m > DIRECT_LIFT_MAX_M:
         raise ValueError(f"direct mode supports m up to {DIRECT_LIFT_MAX_M}")
     cover = None
@@ -513,15 +474,10 @@ def blocking_involutions(cover: SpinCover) -> tuple[int, ...]:
 
 
 def supplement_condition(m: int, kind: CoverKind) -> bool:
-    """Whether every order-2 element of the enumerated cover either acts
-    trivially on the colours or fixes some colour."""
-    return not blocking_involutions(enumerate_cover(m, kind))
-
-
-def supplement_condition_direct(m: int, kind: CoverKind) -> bool:
-    """Enumeration-free version for even m: the fixed-point-free involutions
-    are exactly the products of m/2 disjoint transpositions, all conjugate,
-    so the cover passes iff their lifts have order 4."""
-    if m % 2 != 0 or m < 2:
-        raise ValueError("an even palette size is required")
-    return lift_orders(canonical_fpf_involution(m), kind)[0] == 4
+    """Whether no order-2 element of the cover acts on the m colours without
+    a fixed colour. For odd m every involution fixes a colour. For even m the
+    fixed-point-free involutions are exactly the products of m/2 disjoint
+    transpositions, all conjugate, so the cover passes iff their lifts have
+    order 4; one lift order of the canonical one decides it, for every m up
+    to DIRECT_LIFT_MAX_M, without enumerating the cover."""
+    return m % 2 == 1 or lift_orders(canonical_fpf_involution(m), kind)[0] == 4

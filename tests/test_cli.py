@@ -28,12 +28,19 @@ def run_json(capsys, *argv):
 
 def test_gen_random_writes_graph(tmp_path, capsys):
     path = tmp_path / "g.json"
-    code, out, _ = run(capsys, "gen-random", "--n", "6", "--m", "3", "--seed", "5",
-                       "--out", str(path))
-    assert code == 0
-    assert "graph-written" in out
-    G = ColouredGraph.from_json(path.read_text())
-    assert G == random_graph(6, 3, 5)
+    for n in (6, 0, 1, 2, 23):
+        code, doc = run_json(capsys, "gen-random", "--n", str(n), "--m", "3", "--seed", "5",
+                             "--out", str(path))
+        assert code == 0
+        G = ColouredGraph.from_json(path.read_text())
+        assert G == random_graph(n, 3, 5)
+        # the histogram against a count over every pair
+        counts = {c: 0 for c in (1, 2, 3)}
+        for _, _, c in G.pairs():
+            counts[c] += 1
+        (written,) = [a for a in doc["assertions"] if a["name"] == "graph-written"]
+        histogram = " ".join(f"{c}:{counts[c]}" for c in (1, 2, 3))
+        assert written["detail"] == f"n={n} m=3 colour histogram {histogram}"
 
 
 def test_gen_random_empty_graph(tmp_path, capsys):
@@ -337,6 +344,20 @@ def test_huge_vertex_count_is_a_one_line_error(tmp_path, capsys):
             ["saturate", "--in", "wide.json", "--k", "2", "--out", "never-written.json"],
             id="saturate-huge-palette",
         ),
+        # below two colours no transposition fits; these printed an empty
+        # passing table or ended in a traceback
+        *[
+            pytest.param(["cover-table", "--m", m, "--cover", cover, *direct],
+                         id=f"cover-table-m{m}-{cover}{'-direct' if direct else ''}")
+            for m, cover, direct in [
+                ("-3", "tilde", ["--direct"]),
+                ("1", "hat", ["--direct"]),
+                ("0", "tilde", ["--direct"]),
+                ("-8", "hat", ["--direct"]),
+                ("1", "tilde", []),
+                ("0", "hat", []),
+            ]
+        ],
     ],
     ids=lambda argv: argv[0],
 )
@@ -413,3 +434,19 @@ def test_every_name_the_tracer_patches_exists():
     assert ("cli", "order") in patched and ("cli", "lift") in patched
     missing = [(owner, name) for owner, name in patched if name not in owners[owner].__dict__]
     assert missing == []
+
+
+def test_every_name_the_tracer_reads_holds_its_value():
+    # perfbench/tracing.py counts a product's blades as
+    # len(coeffs) - coeffs.count(spin.SCALAR_ZERO), so SCALAR_ZERO must be
+    # no entry of any coeffs; perfbench/worker.py and the tracer call
+    # enumerate_cover's cache_info and cache_clear
+    for kind in spin.CoverKind:
+        for x in spin.enumerate_cover(3, kind).elements:
+            assert spin.SCALAR_ZERO not in x.coeffs
+            assert all(
+                isinstance(entry, tuple) and len(entry) == 2 and all(type(v) is int for v in entry)
+                for entry in x.coeffs
+            )
+    assert callable(spin.enumerate_cover.cache_info)
+    assert callable(spin.enumerate_cover.cache_clear)

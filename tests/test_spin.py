@@ -16,7 +16,6 @@ from coloursym.perms import (
     transposition,
 )
 from coloursym.spin import (
-    CliffordScalar,
     CoverKind,
     PinElement,
     SpinCover,
@@ -24,6 +23,7 @@ from coloursym.spin import (
     blade_mul,
     blocking_involutions,
     canonical_fpf_involution,
+    coefficient,
     coxeter_generator,
     enumerate_cover,
     lift,
@@ -37,7 +37,6 @@ from coloursym.spin import (
     project,
     reversal,
     supplement_condition,
-    supplement_condition_direct,
     transposition_product,
     unit,
 )
@@ -51,29 +50,23 @@ TILDE, HAT = CoverKind.TILDE, CoverKind.HAT
 
 
 def test_scalar_normal_form():
-    assert CliffordScalar(4, 3) == CliffordScalar(2, 1)  # both are sqrt(2)
-    assert CliffordScalar(6, 2) == CliffordScalar(3, 0)
-    assert CliffordScalar(0, 5) == CliffordScalar(0, 0)
-    assert CliffordScalar(2, 1).k == 1  # 2/sqrt2 = sqrt2 stays at k=1
-    assert CliffordScalar(2, 1).as_float() == pytest.approx(2**0.5)
-    assert CliffordScalar(-3, 2).as_float() == -1.5
+    assert coefficient(4, 3) == coefficient(2, 1) == (2, 1)  # both are sqrt(2)
+    assert coefficient(6, 2) == (3, 0)
+    assert coefficient(-8, 5) == (-2, 1)
+    assert coefficient(3, 4) == (3, 4)  # odd n: nothing cancels
 
 
 def test_scalar_normal_form_is_unique():
+    def exact(n, k):  # n * (sqrt 2)^(-k) as a + b*sqrt(2), a and b rational
+        if k % 2 == 0:
+            return Fraction(n, 2 ** (k // 2)), Fraction(0)
+        return Fraction(0), Fraction(n, 2 ** ((k + 1) // 2))
+
     seen = {}
-    for n in range(-8, 9):
-        for k in range(0, 7):
-            s = CliffordScalar(n, k)
-            value = (Fraction(n), k)
-            exact = s.as_exact()
-            if exact in seen:
-                assert seen[exact] == (s.n, s.k), f"two normal forms for {exact}"
-            seen[exact] = (s.n, s.k)
-
-
-def test_scalar_negative_exponent_rejected():
-    with pytest.raises(ValueError):
-        CliffordScalar(1, -1)
+    for n, k in itertools.product([n for n in range(-8, 9) if n], range(7)):
+        form = coefficient(n, k)
+        assert exact(*form) == exact(n, k)
+        assert seen.setdefault(exact(n, k), form) == form, f"two normal forms for {n}, {k}"
 
 
 # -- blades ------------------------------------------------------------------
@@ -146,7 +139,7 @@ def test_disjoint_generators_anticommute():
 
 def test_generator_has_two_blades():
     g = coxeter_generator(2, 5, TILDE)
-    assert g.blade_count() == 2
+    assert len(g.coeffs) == 2
     assert project(g) == transposition(5, 2, 3)
 
 
@@ -210,7 +203,7 @@ def test_pin_element_normal_form(terms, k, j, rng):
     assert (y.k, y.coeffs) == (x.k, x.coeffs)
     assert list(y.blades()) == list(x.blades())
     assert list(x.blades()) == [
-        (mask, CliffordScalar(n, k)) for mask, n in sorted(terms.items()) if n
+        (mask, *coefficient(n, k)) for mask, n in sorted(terms.items()) if n
     ]
     assert [mask for mask, _ in x.coeffs] == sorted(mask for mask, n in terms.items() if n)
     assert all(n for _, n in x.coeffs)
@@ -384,8 +377,8 @@ def test_cover_two_lifts_per_permutation():
         assert set(counts.values()) == {2}
         for p in enumerate_sym(3):
             x = lift(p, kind)
-            lbl = cover.label_of(x)
-            neg_lbl = cover.label_of(pin_neg(x))
+            lbl = cover.index.get(x)
+            neg_lbl = cover.index.get(pin_neg(x))
             assert lbl is not None and neg_lbl is not None
             assert cover.negate_label(lbl) == neg_lbl
 
@@ -545,14 +538,16 @@ def test_blocking_involutions_cycle_type():
 
 
 def test_supplement_condition_direct_agrees_with_enumeration():
-    for m in (2, 4, 6):
+    # the lift-order decision against a scan of every involution of the cover
+    for m in (2, 3, 4, 5, 6):
         for kind in (TILDE, HAT):
-            assert supplement_condition_direct(m, kind) == supplement_condition(m, kind)
+            expected = not blocking_involutions(enumerate_cover(m, kind))
+            assert supplement_condition(m, kind) == expected
 
 
 def test_supplement_condition_direct_m8_blocked_both():
-    assert not supplement_condition_direct(8, TILDE)
-    assert not supplement_condition_direct(8, HAT)
+    assert not supplement_condition(8, TILDE)
+    assert not supplement_condition(8, HAT)
 
 
 def test_canonical_fpf_involution():
