@@ -20,9 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .equivariant import (
+    ColourGroupReport,
     FixedPointFreeInvolution,
-    OrbitGraphSpec,
-    assembled_graph_json_dict,
     build_pair_colouring,
     make_orbit_spec,
     sym_complement,
@@ -98,10 +97,6 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _write_file(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
-
-
 def _histogram(G: ColouredGraph) -> list[int]:
     """Entry c - 1 counts the pairs of colour c. The matrix is symmetric with
     a zero diagonal, so it holds each pair twice and bin 0 holds the diagonal."""
@@ -109,10 +104,19 @@ def _histogram(G: ColouredGraph) -> list[int]:
     return counts.tolist()
 
 
-def _write_orbit_graph(
-    report: RunReport, path: str, spec: OrbitGraphSpec, graph: ColouredGraph
-) -> None:
-    _write_file(path, json.dumps(assembled_graph_json_dict(spec, graph), sort_keys=True) + "\n")
+def _write_graph(path: str, graph: ColouredGraph, labels: Optional[list] = None) -> None:
+    """Stream graph JSON to path; with labels, as {"graph": ..., "vertex_labels": labels}."""
+    tail = "" if labels is None else f', "vertex_labels": {json.dumps(labels, sort_keys=True)}}}'
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("" if labels is None else '{"graph": ')
+        out.writelines(graph.json_chunks())
+        out.write(tail + "\n")
+
+
+def _write_orbit_graph(report: RunReport, path: str, ver: ColourGroupReport) -> None:
+    size = ver.group_size  # each flat vertex id is labelled with its orbit and group element
+    labels = [{"orbit": v // size, "element": v % size} for v in range(ver.graph.n)]
+    _write_graph(path, ver.graph, labels)
     report.check("graph-written", True, path)
 
 
@@ -123,7 +127,7 @@ def cmd_gen_random(args: argparse.Namespace) -> RunReport:
         seed=args.seed,
     )
     G = random_graph(args.n, args.m, args.seed)
-    _write_file(args.out, G.to_json())
+    _write_graph(args.out, G)
     hist = _histogram(G)
     report.check(
         "graph-written",
@@ -132,7 +136,7 @@ def cmd_gen_random(args: argparse.Namespace) -> RunReport:
         + " ".join(f"{c}:{count}" for c, count in enumerate(hist, start=1)),
     )
     if args.dot:
-        _write_file(args.dot, G.to_dot())
+        Path(args.dot).write_text(G.to_dot(), encoding="utf-8")
         report.check("dot-written", True, args.dot)
     return report
 
@@ -145,7 +149,7 @@ def cmd_complement(args: argparse.Namespace) -> RunReport:
     )
     m = args.m
     if m % 2 == 1:
-        spec, ver = sym_complement(m, args.orbits, args.seed)
+        _, ver = sym_complement(m, args.orbits, args.seed)
         report.check(
             "all-elements-consistent",
             ver.all_consistent,
@@ -157,7 +161,7 @@ def cmd_complement(args: argparse.Namespace) -> RunReport:
             f"|K| = {ver.kernel_size} (complement behaviour needs 1)",
         )
         if args.out:
-            _write_orbit_graph(report, args.out, spec, ver.graph)
+            _write_orbit_graph(report, args.out, ver)
     else:
         G = symmetric_group(m)
         witness = None
@@ -255,7 +259,7 @@ def cmd_supplement(args: argparse.Namespace) -> RunReport:
         f"K = {list(ver.kernel)}, the labels of +1 and -1",
     )
     if args.out:
-        _write_orbit_graph(report, args.out, spec, ver.graph)
+        _write_orbit_graph(report, args.out, ver)
     return report
 
 
@@ -315,7 +319,7 @@ def cmd_saturate(args: argparse.Namespace) -> RunReport:
             f"exhaustive sweep of all queries of size <= {args.k}: "
             f"{unsatisfied} unsatisfied",
         )
-    _write_file(args.out, H.to_json())
+    _write_graph(args.out, H)
     report.check("graph-written", True, args.out)
     return report
 

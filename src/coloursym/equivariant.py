@@ -454,7 +454,7 @@ def make_orbit_spec(
     G: FiniteGroup, f: PairColouring, orbit_count: int, seed: int
 ) -> OrbitGraphSpec:
     """Draw every cross-orbit base colour uniformly (seeded)."""
-    if f.group is not G and f.group.to_json_dict() != G.to_json_dict():
+    if f.group is not G and not (np.array_equal(f.group.mul, G.mul) and f.group.phi == G.phi):
         raise ValueError("pair colouring was built over a different group")
     check_vertex_count(orbit_count * G.size)
     rng = random.Random(f"orbit-spec:{seed}")
@@ -605,12 +605,3 @@ def sym_complement(
     spec = make_orbit_spec(G, f, orbit_count, seed)
     return spec, verify_colour_group(spec)
 
-
-def assembled_graph_json_dict(spec: OrbitGraphSpec, graph: ColouredGraph) -> dict:
-    """The graph assembled from spec (as verify_colour_group keeps it) in
-    graph-JSON form, plus the orbit/element label of every flat vertex id."""
-    labels = [
-        {"orbit": v // spec.group.size, "element": v % spec.group.size}
-        for v in range(spec.vertex_count)
-    ]
-    return {"graph": graph.to_json_dict(), "vertex_labels": labels}

@@ -41,10 +41,10 @@ from .perms import (
 
 OBSTRUCTION_GUARD = 7  # n! vertex permutations are enumerated; 7! is the ceiling
 ROW_BLOCK_ENTRIES = 1 << 20  # whole-matrix scans work on row blocks of about this size
-MAX_PALETTE = int(np.iinfo(np.int32).max)  # colours are stored as int32
+MAX_PALETTE = 255  # colours fit one byte, and reports list every colour
 MAX_VERTICES = 1 << 14  # a 1 GiB int32 matrix; complement --m 7 needs 10080
 MAX_SWEEP_QUERIES = 10**7  # witness queries per sweep; keeps base-m codes in int32
-SWEEP_BLOCK_ENTRIES = 1 << 14  # colours a sweep reads at once; ~200 KB of temporaries
+SWEEP_BLOCK_ENTRIES = 1 << 14  # colours a witness sweep or the JSON writer reads at once
 
 
 Query = tuple[Sequence[int], Sequence[int]]  # (vertices, colours); see the module docstring
@@ -64,7 +64,7 @@ class ColouredGraph:
 
     def __post_init__(self) -> None:
         if not 1 <= self.m <= MAX_PALETTE:
-            raise ValueError(f"palette size must be in 1..{MAX_PALETTE}")
+            raise ValueError(f"palette size {self.m} is outside the limits 1..{MAX_PALETTE}")
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
         C = np.asarray(self.colours)  # checked in its own dtype, then narrowed
@@ -112,16 +112,21 @@ class ColouredGraph:
 
     # -- serialization ----------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        u, v = np.triu_indices(self.n, k=1)  # row-major, the order of pairs()
-        return {
-            "m": self.m,
-            "n": self.n,
-            "colours": np.stack([u, v, self.colours[u, v]], axis=1).tolist(),
-        }
+    def json_chunks(self) -> Iterator[str]:
+        """to_json() without its newline, read from the matrix in blocks of rows."""
+        yield '{"colours": ['
+        rows = max(1, SWEEP_BLOCK_ENTRIES // (self.n + 1))
+        for start in range(0, self.n - 1, rows):  # so every block holds a pair (start, n - 1)
+            u, v = np.nonzero(np.arange(self.n) > np.arange(start, start + rows)[:, None])
+            triples = np.stack([u + start, v, self.colours[u + start, v]], axis=1)
+            yield (", " if start else "") + json.dumps(triples.tolist())[1:-1]
+        yield f'], "m": {self.m}, "n": {self.n}}}'
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True) + "\n"
+        return "".join(self.json_chunks()) + "\n"
+
+    def to_json_dict(self) -> dict:
+        return json.loads(self.to_json())
 
     @classmethod
     def from_json_dict(cls, data: object) -> "ColouredGraph":
@@ -159,7 +164,7 @@ def graph_from_edges(m: int, n: int, entries: Iterable[Sequence[int]]) -> Colour
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     if not 1 <= m <= MAX_PALETTE:
-        raise ValueError(f"palette size must be in 1..{MAX_PALETTE}")
+        raise ValueError(f"palette size {m} is outside the limits 1..{MAX_PALETTE}")
     expected = n * (n - 1) // 2
     if len(entries) != expected:
         raise ValueError(f"expected {expected} pairs, got {len(entries)}")
@@ -194,8 +199,8 @@ def check_vertex_count(n: int) -> None:
 def random_graph(n: int, m: int, seed: int) -> ColouredGraph:
     """Graph on n vertices with pair colours drawn independently and
     uniformly from 1..m by a deterministic seeded generator."""
-    if m < 2:
-        raise ValueError("palette size must be at least 2")
+    if not 2 <= m <= MAX_PALETTE:  # checked before n^2 colours are drawn
+        raise ValueError(f"palette size {m} is outside the limits 2..{MAX_PALETTE}")
     check_vertex_count(n)
     rng = random.Random(f"random-graph:{seed}")
     C = np.zeros((n, n), dtype=np.int32)

@@ -104,9 +104,13 @@ def test_complement_writes_assembled_graph(tmp_path, capsys):
     code, _, _ = run(capsys, "complement", "--m", "3", "--orbits", "2",
                      "--out", str(path))
     assert code == 0
-    doc = json.loads(path.read_text())
-    assert doc["graph"]["n"] == 12
-    assert len(doc["vertex_labels"]) == 12
+    # the file is the sorted JSON of the verified graph and each vertex's (orbit, element)
+    graph = equivariant.sym_complement(3, 2, 0)[1].graph
+    doc = {
+        "graph": {"colours": [[u, v, c] for u, v, c in graph.pairs()], "m": 3, "n": 12},
+        "vertex_labels": [{"orbit": v // 6, "element": v % 6} for v in range(12)],
+    }
+    assert path.read_text() == json.dumps(doc, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("m", ["8", "9"])
@@ -333,6 +337,10 @@ def test_huge_vertex_count_is_a_one_line_error(tmp_path, capsys):
     "argv",
     [
         ["gen-random", "--n", "1000000", "--m", "3", "--out", "never-written.json"],
+        pytest.param(
+            ["gen-random", "--n", "16384", "--m", "256", "--out", "never-written.json"],
+            id="gen-random-huge-palette",
+        ),
         ["supplement", "--m", "4", "--cover", "hat", "--orbits", "50000"],
         ["complement", "--m", "3", "--orbits", "100000"],
         ["coset-bound", "--m", "100000000", "--k", "100000000"],

@@ -17,7 +17,6 @@ from coloursym.equivariant import (
     action_vertex_perm,
     add_witness_orbit,
     assemble_orbit_graph,
-    assembled_graph_json_dict,
     build_pair_colouring,
     cayley_table,
     generators,
@@ -335,6 +334,17 @@ def test_make_orbit_spec_counts():
 
 def test_make_orbit_spec_deterministic():
     assert make_sym3_spec(3, 5).inter == make_sym3_spec(3, 5).inter
+
+
+def test_make_orbit_spec_compares_groups_by_table_and_action():
+    f = build_pair_colouring(sym_group(3), 0)
+    assert make_orbit_spec(sym_group(3), f, 2, 0).inter == make_sym3_spec(2).inter
+    with pytest.raises(ValueError, match="different group"):
+        make_orbit_spec(symmetric_group(4), f, 2, 0)
+    a = group_from_perms([identity(3), (2, 1, 3)])
+    b = group_from_perms([identity(3), (1, 3, 2)])  # the same table, another action
+    with pytest.raises(ValueError, match="different group"):
+        make_orbit_spec(b, build_pair_colouring(a, 0), 1, 0)
 
 
 def test_assemble_intra_orbit_base_colours():
@@ -750,14 +760,6 @@ def test_spec_loading_raises_value_error_or_round_trips_exactly(doc):
     except ValueError:
         return
     assert json.dumps(spec.to_json_dict(), sort_keys=True) == json.dumps(doc, sort_keys=True)
-
-
-def test_assembled_graph_json_dict():
-    spec = make_sym3_spec(2)
-    doc = assembled_graph_json_dict(spec, assemble_orbit_graph(spec))
-    assert doc["graph"]["n"] == 12
-    assert doc["vertex_labels"][0] == {"orbit": 0, "element": 0}
-    assert doc["vertex_labels"][7] == {"orbit": 1, "element": 1}
 
 
 def test_consistency_of_assembled_graph_directly():

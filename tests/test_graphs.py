@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -474,12 +475,33 @@ def test_json_roundtrip_identity():
 
 
 def test_to_json_dict_matches_the_pairs_loop():
-    G = random_graph(37, 4, 11)
-    looped = {"m": G.m, "n": G.n, "colours": [[u, v, c] for u, v, c in G.pairs()]}
-    assert json.dumps(G.to_json_dict(), sort_keys=True) == json.dumps(looped, sort_keys=True)
-    for n in (0, 1, 2):
-        H = random_graph(n, 2, 0)
-        assert H.to_json_dict()["colours"] == [[u, v, c] for u, v, c in H.pairs()]
+    # 221 vertices are written in blocks of 73 rows, so the last block holds
+    # only row 219, the final row with a pair; 300 vertices take six blocks
+    assert 219 % (graphs.SWEEP_BLOCK_ENTRIES // 222) == 0
+    for n, m in [(0, 2), (1, 2), (2, 2), (37, 4), (221, 3), (300, 5)]:
+        G = random_graph(n, m, 11)
+        looped = {"m": m, "n": n, "colours": [[u, v, c] for u, v, c in G.pairs()]}
+        assert G.to_json() == json.dumps(looped, sort_keys=True) + "\n"
+        assert G.to_json_dict() == looped
+
+
+def test_json_chunks_never_hold_every_triple():
+    # the list of all 1,999,000 [u, v, c] triples of 2000 vertices takes about
+    # 350 MB. Its first ten row blocks must fit in 16 MB, as they could not if
+    # that list were built first or if each block's ~2.5 MB were kept. Only ten
+    # are read: tracing all 250 takes some 40 s.
+    n = 2000
+    C = (np.add.outer(np.arange(n), np.arange(n)) % 3 + 1).astype(np.int32)
+    np.fill_diagonal(C, 0)
+    chunks = ColouredGraph(m=3, n=n, colours=C).json_chunks()
+    tracemalloc.start()
+    try:
+        written = sum(len(chunk) for chunk in itertools.islice(chunks, 11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written > 2 * 10**6
+    assert peak < 16 * 2**20
 
 
 def test_json_reader_rejects_booleans_as_integers():
