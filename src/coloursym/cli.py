@@ -39,6 +39,7 @@ from .graphs import (
 from .perms import cycle_string, double_coset_lower_bound
 from .spin import (
     COVER_ENUM_MAX_M,
+    DIRECT_LIFT_MAX_M,
     CoverKind,
     blocking_involutions,
     canonical_fpf_involution,
@@ -136,7 +137,8 @@ def cmd_gen_random(args: argparse.Namespace) -> RunReport:
         + " ".join(f"{c}:{count}" for c, count in enumerate(hist, start=1)),
     )
     if args.dot:
-        Path(args.dot).write_text(G.to_dot(), encoding="utf-8")
+        with open(args.dot, "w", encoding="utf-8") as out:
+            out.writelines(G.dot_chunks())
         report.check("dot-written", True, args.dot)
     return report
 
@@ -204,6 +206,10 @@ def cmd_supplement(args: argparse.Namespace) -> RunReport:
             f"(covers are enumerated only for m <= {COVER_ENUM_MAX_M})",
         )
         return report
+    if m > DIRECT_LIFT_MAX_M:
+        raise ValueError(
+            f"supplement lifts even m up to the limit of {DIRECT_LIFT_MAX_M}, got m={m}"
+        )
     if m > COVER_ENUM_MAX_M:
         # decide on the run's cover; report the other one only when it is blocked
         p = canonical_fpf_involution(m)

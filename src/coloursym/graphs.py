@@ -44,7 +44,7 @@ ROW_BLOCK_ENTRIES = 1 << 20  # whole-matrix scans work on row blocks of about th
 MAX_PALETTE = 255  # colours fit one byte, and reports list every colour
 MAX_VERTICES = 1 << 14  # a 1 GiB int32 matrix; complement --m 7 needs 10080
 MAX_SWEEP_QUERIES = 10**7  # witness queries per sweep; keeps base-m codes in int32
-SWEEP_BLOCK_ENTRIES = 1 << 14  # colours a witness sweep or the JSON writer reads at once
+SWEEP_BLOCK_ENTRIES = 1 << 14  # colours a witness sweep or the graph writer reads at once
 
 
 Query = tuple[Sequence[int], Sequence[int]]  # (vertices, colours); see the module docstring
@@ -115,12 +115,25 @@ class ColouredGraph:
     def json_chunks(self) -> Iterator[str]:
         """to_json() without its newline, read from the matrix in blocks of rows."""
         yield '{"colours": ['
-        rows = max(1, SWEEP_BLOCK_ENTRIES // (self.n + 1))
-        for start in range(0, self.n - 1, rows):  # so every block holds a pair (start, n - 1)
-            u, v = np.nonzero(np.arange(self.n) > np.arange(start, start + rows)[:, None])
-            triples = np.stack([u + start, v, self.colours[u + start, v]], axis=1)
-            yield (", " if start else "") + json.dumps(triples.tolist())[1:-1]
+        for i, text in enumerate(self._pair_lines(b", [", b", ", b", ", b"]")):
+            yield text[2:] if i == 0 else text  # the first triple follows the bracket
         yield f'], "m": {self.m}, "n": {self.n}}}'
+
+    def dot_chunks(self) -> Iterator[str]:
+        """to_dot() in pieces: one line per vertex, then one per pair in blocks of rows."""
+        yield "graph coloured {\n"
+        yield _render(b"  ", (_digits(self.n), np.arange(self.n)), b";\n")
+        yield from self._pair_lines(b"  ", b" -- ", b" [color_index=", b"];\n")
+        yield "}\n"
+
+    def _pair_lines(self, head: bytes, sep: bytes, colour_sep: bytes, tail: bytes) -> Iterator[str]:
+        """Every pair u < v as head u sep v colour_sep c tail, in row-major
+        order, one string per block of rows of about SWEEP_BLOCK_ENTRIES entries."""
+        vertex, colour = _digits(self.n), _digits(self.m + 1)
+        for u, v in _upper_pairs(self.n, SWEEP_BLOCK_ENTRIES):
+            yield _render(
+                head, (vertex, u), sep, (vertex, v), colour_sep, (colour, self.colours[u, v]), tail
+            )
 
     def to_json(self) -> str:
         return "".join(self.json_chunks()) + "\n"
@@ -147,13 +160,47 @@ class ColouredGraph:
         return cls.from_json_dict(json.loads(text))
 
     def to_dot(self) -> str:
-        lines = ["graph coloured {"]
-        for v in range(self.n):
-            lines.append(f"  {v};")
-        for u, v, c in self.pairs():
-            lines.append(f"  {u} -- {v} [color_index={c}];")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return "".join(self.dot_chunks())
+
+
+def _upper_pairs(n: int, entries: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pairs u < v of n vertices in row-major order, as index arrays
+    (u, v) over blocks of rows of about `entries` matrix entries each."""
+    rows = max(1, min(n - 1, entries // (n + 1)))  # no block reaches past the last pair
+    for start in range(0, n - 1, rows):  # so every block holds a pair (start, n - 1)
+        u, v = np.nonzero(np.arange(n) > np.arange(start, start + rows)[:, None])
+        yield u + start, v
+
+
+_Digits = tuple[np.ndarray, np.ndarray]
+
+
+def _digits(count: int) -> _Digits:
+    """The integers 0..count-1 as right-aligned ASCII digits, one uint8 row
+    each, and the mask of the cells that hold a digit rather than padding."""
+    width = len(str(max(count - 1, 0)))
+    values = np.arange(count)[:, None]
+    powers = 10 ** np.arange(width - 1, -1, -1)
+    digits = (values // powers % 10 + ord("0")).astype(np.uint8)
+    return digits, (values >= powers) | (powers == 1)
+
+
+def _render(*parts: bytes | tuple[_Digits, np.ndarray]) -> str:
+    """One line per row: each part is bytes, the same on every row, or a
+    (_digits table, values) pair giving one value per row. The parts' cells
+    are laid side by side, and one boolean index drops the padding."""
+    rows = next(len(part[1]) for part in parts if not isinstance(part, bytes))
+    cells, keep = [], []
+    for part in parts:
+        if isinstance(part, bytes):
+            literal = np.frombuffer(part, dtype=np.uint8)
+            cells.append(np.broadcast_to(literal, (rows, len(literal))))
+            keep.append(np.ones((rows, len(literal)), dtype=bool))
+        else:
+            (digits, mask), values = part
+            cells.append(digits[values])
+            keep.append(mask[values])
+    return np.concatenate(cells, axis=1)[np.concatenate(keep, axis=1)].tobytes().decode("ascii")
 
 
 def graph_from_edges(m: int, n: int, entries: Iterable[Sequence[int]]) -> ColouredGraph:
@@ -202,11 +249,22 @@ def random_graph(n: int, m: int, seed: int) -> ColouredGraph:
     if not 2 <= m <= MAX_PALETTE:  # checked before n^2 colours are drawn
         raise ValueError(f"palette size {m} is outside the limits 2..{MAX_PALETTE}")
     check_vertex_count(n)
+    # Pair (u, v) gets the colour rng.randrange(m) + 1 would draw, pairs in
+    # row-major order. CPython's randrange(m) keeps the top m.bit_length()
+    # bits of one 32-bit word and rejects values >= m; getrandbits(32 * w)
+    # returns w such words, the first as the least significant.
     rng = random.Random(f"random-graph:{seed}")
+    bits = m.bit_length()
     C = np.zeros((n, n), dtype=np.int32)
-    for u in range(n):
-        for v in range(u + 1, n):
-            C[u, v] = C[v, u] = rng.randrange(m) + 1
+    drawn = np.zeros(0, dtype=np.int32)  # accepted values not yet placed
+    for u, v in _upper_pairs(n, ROW_BLOCK_ENTRIES):
+        while len(drawn) < len(u):
+            words = ((len(u) - len(drawn)) << bits) // m + 1  # about enough, on average
+            raw = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), "<u4")
+            values = (raw >> (32 - bits)).astype(np.int32)
+            drawn = np.concatenate([drawn, values[values < m]])
+        C[u, v] = C[v, u] = drawn[: len(u)] + 1
+        drawn = drawn[len(u) :]
     return ColouredGraph(m=m, n=n, colours=C)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Optional
 
 import numpy as np
@@ -36,6 +37,25 @@ def bad_queries(n: int, m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]
         ((0, 1), (1,)),  # more vertices than colours
         ((0,), (1, 1)),  # more colours than vertices
     ]
+
+
+def random_graph_by_pairs(n: int, m: int, seed: int) -> ColouredGraph:
+    """random_graph one pair at a time: rng.randrange(m) + 1 for each pair
+    u < v in row-major order."""
+    rng = random.Random(f"random-graph:{seed}")
+    C = np.zeros((n, n), dtype=np.int32)
+    for u in range(n):
+        for v in range(u + 1, n):
+            C[u, v] = C[v, u] = rng.randrange(m) + 1
+    return ColouredGraph(m=m, n=n, colours=C)
+
+
+def dot_by_pairs(G: ColouredGraph) -> str:
+    """to_dot() one line at a time from pairs()."""
+    lines = ["graph coloured {"]
+    lines += [f"  {v};" for v in range(G.n)]
+    lines += [f"  {u} -- {v} [color_index={c}];" for u, v, c in G.pairs()]
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 def sym_group(m: int) -> FiniteGroup:

@@ -234,7 +234,7 @@ def test_supplement_beyond_the_direct_lift_limit_is_a_one_line_error(capsys):
     code, out, err = run(capsys, "supplement", "--m", "26", "--cover", "tilde")
     assert code == 2
     assert out == ""
-    assert err == "error: m must be in 1..12\n"
+    assert err == "error: supplement lifts even m up to the limit of 12, got m=26\n"
 
 
 # -- cover-table -----------------------------------------------------------------
@@ -342,6 +342,8 @@ def test_huge_vertex_count_is_a_one_line_error(tmp_path, capsys):
             id="gen-random-huge-palette",
         ),
         ["supplement", "--m", "4", "--cover", "hat", "--orbits", "50000"],
+        # even m beyond the direct lift's reach, refused by supplement itself
+        pytest.param(["supplement", "--m", "14", "--cover", "hat"], id="supplement-even-m-beyond-lift"),
         ["complement", "--m", "3", "--orbits", "100000"],
         ["coset-bound", "--m", "100000000", "--k", "100000000"],
         pytest.param(

@@ -38,7 +38,7 @@ from coloursym.perms import (
     transposition,
 )
 
-from helpers import all_two_colourings, bad_queries
+from helpers import all_two_colourings, bad_queries, dot_by_pairs, random_graph_by_pairs
 
 
 def single_edge(c: int, m: int = 2) -> ColouredGraph:
@@ -62,6 +62,14 @@ def test_random_graph_single_edge():
 def test_random_graph_deterministic():
     assert random_graph(10, 3, 42) == random_graph(10, 3, 42)
     assert random_graph(10, 3, 42) != random_graph(10, 3, 43)
+
+
+def test_random_graph_matches_the_pairs_loop():
+    # 2 and 128 colours accept half of the drawn words, 5 five eighths, 129
+    # about half and 255 nearly all; 1100 vertices take two row blocks
+    for n, m in [(0, 2), (1, 3), (3, 3), (50, 5), (64, 128), (64, 129), (97, 255), (300, 2), (1100, 7)]:
+        for seed in (0, 1):
+            assert random_graph(n, m, seed) == random_graph_by_pairs(n, m, seed), (n, m, seed)
 
 
 def test_random_graph_rejects_tiny_palette():
@@ -474,11 +482,15 @@ def test_json_roundtrip_identity():
     assert ColouredGraph.from_json_dict(d).to_json_dict() == d
 
 
+DIGIT_EDGES = [(10, 9), (11, 10), (100, 99), (101, 100), (1001, 255)]
+
+
 def test_to_json_dict_matches_the_pairs_loop():
     # 221 vertices are written in blocks of 73 rows, so the last block holds
     # only row 219, the final row with a pair; 300 vertices take six blocks
     assert 219 % (graphs.SWEEP_BLOCK_ENTRIES // 222) == 0
-    for n, m in [(0, 2), (1, 2), (2, 2), (37, 4), (221, 3), (300, 5)]:
+    # 10, 100 and 1000 are where vertex ids and colours gain a digit
+    for n, m in [(0, 2), (1, 2), (2, 2), (37, 4), (221, 3), (300, 5)] + DIGIT_EDGES:
         G = random_graph(n, m, 11)
         looped = {"m": m, "n": n, "colours": [[u, v, c] for u, v, c in G.pairs()]}
         assert G.to_json() == json.dumps(looped, sort_keys=True) + "\n"
@@ -502,6 +514,20 @@ def test_json_chunks_never_hold_every_triple():
         tracemalloc.stop()
     assert written > 2 * 10**6
     assert peak < 16 * 2**20
+
+
+def test_small_graphs_take_small_blocks():
+    # a block of rows reaching past the last pair would allocate a 2 MB index
+    # array to draw a 3-vertex graph and 0.2 MB to write it
+    random_graph(3, 3, 0).to_json()
+    tracemalloc.start()
+    try:
+        G = random_graph(3, 3, 0)
+        G.to_json(), G.to_dot()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
 
 
 def test_json_reader_rejects_booleans_as_integers():
@@ -624,6 +650,12 @@ def test_json_reader_contract(document, n, m, seed, data):
         key: data.draw(json_values),
     }
     assert ColouredGraph.from_json(json.dumps(shuffled)) == G
+
+
+def test_to_dot_matches_the_pairs_loop():
+    for n, m in [(0, 2), (1, 2), (2, 3)] + DIGIT_EDGES:
+        G = random_graph(n, m, 5)
+        assert G.to_dot() == dot_by_pairs(G), (n, m)
 
 
 def test_dot_export():
