@@ -33,6 +33,7 @@ from .graphs import (
     check_vertex_count,
     colour_lookup,
     is_colour_consistent,
+    load_json,
 )
 from .perms import (
     Perm,
@@ -287,30 +288,36 @@ def is_phi_homomorphism(
 @dataclass(frozen=True, eq=False)
 class PairColouring:
     """Colours of the pairs (identity, y), one per nonidentity y; the rest
-    of the pair colouring follows by translation."""
+    of the pair colouring follows by translation.
+
+    Construction checks that entry 0 is 0 (it is the diagonal of every
+    orbit), every other base colour against the palette and the
+    compatibility constraint base[y^-1] == phi(y^-1)(base[y]) for every
+    nonidentity y (for involutions this forces a fixed colour); otherwise
+    it raises ValueError naming the first offending element."""
 
     group: FiniteGroup
-    base: tuple[int, ...]  # indexed by element label; entry 0 is unused
+    base: tuple[int, ...]  # indexed by element label
 
     def __post_init__(self) -> None:
-        if len(self.base) != self.group.size:
-            raise ValueError("one base colour per group element is required")
-        object.__setattr__(self, "base", tuple(int(c) for c in self.base))
-
-    def validate(self) -> None:
-        """Check the compatibility constraint base[y^-1] == phi(y^-1)(base[y])
-        for every nonidentity y (for involutions this forces a fixed colour)."""
         G = self.group
+        if len(self.base) != G.size:
+            raise ValueError("one base colour per group element is required")
+        base = tuple(int(c) for c in self.base)
+        if base[0] != 0:
+            raise ValueError("base entry 0, the identity's, must be 0")
         for y in range(1, G.size):
-            c = self.base[y]
-            if not 1 <= c <= G.m:
+            if not 1 <= base[y] <= G.m:
                 raise ValueError(f"base colour of element {y} out of range")
-            yi = G.inverse_of(y)
-            expected = apply(G.phi[yi], c)
-            if self.base[yi] != expected:
-                raise ValueError(
-                    f"base colours of {y} and its inverse {yi} are incompatible"
-                )
+        colours = np.array(base, dtype=np.int32)
+        inverses = G.inv[1:]
+        broken = np.flatnonzero(colours[inverses] != G.phi_table[inverses, colours[1:]])
+        if broken.size:
+            y = int(broken[0]) + 1
+            raise ValueError(
+                f"base colours of {y} and its inverse {G.inverse_of(y)} are incompatible"
+            )
+        object.__setattr__(self, "base", base)
 
 
 def build_pair_colouring(G: FiniteGroup, seed: int) -> PairColouring:
@@ -433,10 +440,8 @@ class OrbitGraphSpec:
         pairs = {f"{i},{j}": (i, j) for i in range(N) for j in range(i + 1, N)}
         if set(inter) != set(pairs) or not _int_rows(list(inter.values())):
             raise ValueError(f'inter must map each "i,j" with i < j < {N} to integer colours')
-        colouring = PairColouring(group=group, base=(0, *(base[y] for y in labels)))
-        colouring.validate()
         return cls(
-            colouring=colouring,
+            colouring=PairColouring(group=group, base=(0, *(base[y] for y in labels))),
             orbit_count=N,
             inter={pairs[key]: tuple(values) for key, values in inter.items()},
             seed=seed,
@@ -447,7 +452,7 @@ class OrbitGraphSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "OrbitGraphSpec":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(load_json(text))
 
 
 def make_orbit_spec(

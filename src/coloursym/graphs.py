@@ -157,7 +157,7 @@ class ColouredGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "ColouredGraph":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(load_json(text))
 
     def to_dot(self) -> str:
         return "".join(self.dot_chunks())
@@ -201,6 +201,14 @@ def _render(*parts: bytes | tuple[_Digits, np.ndarray]) -> str:
             cells.append(digits[values])
             keep.append(mask[values])
     return np.concatenate(cells, axis=1)[np.concatenate(keep, axis=1)].tobytes().decode("ascii")
+
+
+def load_json(text: str) -> object:
+    """json.loads, raising ValueError also for nesting too deep to parse."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("JSON nests too deeply") from exc
 
 
 def graph_from_edges(m: int, n: int, entries: Iterable[Sequence[int]]) -> ColouredGraph:

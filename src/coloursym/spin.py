@@ -391,20 +391,6 @@ class OrderRuleReport:
     def passed(self) -> bool:
         return all(row.passed for row in self.rows)
 
-    def render_text(self) -> str:
-        lines = [
-            f"lift orders of r disjoint transpositions, m={self.m}, "
-            f"{self.kind.value} cover ({self.mode} mode)",
-            f"{'r':>3} {'order':>6} {'expected':>9} {'checked':>8} verdict",
-        ]
-        for row in self.rows:
-            observed = ",".join(map(str, row.observed_orders))
-            verdict = "pass" if row.passed else "FAIL"
-            lines.append(
-                f"{row.r:>3} {observed:>6} {row.expected_order:>9} "
-                f"{row.elements_checked:>8} {verdict}"
-            )
-        return "\n".join(lines)
 
 
 def order_rule_table(m: int, kind: CoverKind, mode: str = "auto") -> OrderRuleReport:

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import hashlib
 import json
+import shlex
 import time
 from pathlib import Path
 
@@ -157,6 +158,63 @@ def test_seeded_out_files_keep_their_bytes(tmp_path, capsys, argv, digest):
     code, _, _ = run(capsys, *argv, "--orbits", "2", "--seed", "1", "--out", str(path))
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, graph_seed, code, report_digest, out_digest",
+    [
+        (["supplement", "--m", "2", "--cover", "hat"], None, 1,
+         "a2d2183cf78059967a5d9f64ec2704700d0c13f196d909605598d0553b807eaa", None),
+        (["supplement", "--m", "6", "--cover", "tilde"], None, 1,
+         "052ab0632cbc3f71fa121ac384b7216d5abd491c3c69609443123190bcb81c1f", None),
+        (["supplement", "--m", "5", "--cover", "hat", "--orbits", "2", "--out", "out.json"], None, 0,
+         "cafbc42b948dc9370d5335543bedd7e8fcb1e15aed7c2f1b3ad58993a45d95de",
+         "8ece3e55ead53ef2779d635e3e0e3027fa64fb9b244e3498a3c0472e662b003d"),
+        (["complement", "--m", "4"], None, 0,
+         "c5d7a1c83137447f6a988ea9ae5ef07383766506954eee83e20149d891bfa97e", None),
+        (["saturate", "--in", "in.json", "--k", "2", "--seed", "1", "--out", "out.json"], 1, 0,
+         "f34a90a090b6ce0fc10eec4abcf7c69438b8693c6204a7b9efaf86afded227b3",
+         "20d5cb0c972940cb2a2097a501c47ba75b23c0ed32e45d10b88ee2a16193457e"),
+        (["saturate", "--in", "in.json", "--k", "2", "--seed", "1018370994", "--rounds", "8",
+          "--out", "out.json"], 1018370994, 1,
+         "0b208912e501c171fe6f82da10b13101cc0439aab5e6e9c3306d007c519771c1",
+         "50a9831b4f42e6517558d51572d8484487b18734bd7fb00786431973a708c4a2"),
+        (["cover-table", "--m", "4", "--cover", "tilde"], None, 0,
+         "077e8aee514e7d4047ff3a265386c1ceacc9e205f013a15b2614ac772730bdea", None),
+    ],
+    ids=["supplement-m2-hat-blocked", "supplement-m6-tilde-blocked", "supplement-m5-hat-out",
+         "complement-m4", "saturate-achieved", "saturate-not-achieved", "cover-table-m4"],
+)
+def test_reports_and_files_keep_their_bytes(
+    tmp_path, capsys, monkeypatch, argv, graph_seed, code, report_digest, out_digest
+):
+    # sha256 of the JSON report without wall_time_s and of the file written;
+    # relative paths keep the params alike in every directory. Each verdict
+    # is printed once, so stderr stays empty.
+    monkeypatch.chdir(tmp_path)
+    if graph_seed is not None:
+        Path("in.json").write_text(random_graph(3, 3, graph_seed).to_json())
+    got, out, err = run(capsys, *argv, "--json")
+    assert (got, err) == (code, "")
+    doc = json.loads(out)
+    del doc["wall_time_s"]
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == report_digest
+    written = Path("out.json")
+    assert (hashlib.sha256(written.read_bytes()).hexdigest() if written.exists() else None) == out_digest
+
+
+def test_readme_cli_examples_run_as_documented(tmp_path, capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("coloursym ")]
+    assert len(lines) > 10
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        command, _, comment = line.partition("#")
+        if "complement --m 7" in command:
+            continue  # about 9 s
+        code, _, err = run(capsys, *shlex.split(command)[1:])
+        assert (code, err) == ((1 if "fails" in comment else 0), ""), line
 
 
 # -- supplement -----------------------------------------------------------------
@@ -321,16 +379,18 @@ def test_obstruction_rejects_odd_palette(tmp_path, capsys):
 
 
 def test_huge_vertex_count_is_a_one_line_error(tmp_path, capsys):
-    src = tmp_path / "huge.json"
-    src.write_text('{"m": 3, "n": 2000000, "colours": []}')
-    for argv in (
-        ["obstruction", "--in", str(src)],
-        ["saturate", "--in", str(src), "--k", "2", "--out", str(tmp_path / "out.json")],
-    ):
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+    huge, deep = tmp_path / "huge.json", tmp_path / "deep.json"
+    huge.write_text('{"m": 3, "n": 2000000, "colours": []}')
+    deep.write_text("[" * 100000 + "]" * 100000)  # deeper than the JSON parser recurses
+    for src in (huge, deep):
+        for argv in (
+            ["obstruction", "--in", str(src)],
+            ["saturate", "--in", str(src), "--k", "2", "--out", str(tmp_path / "out.json")],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -399,6 +459,12 @@ def test_coset_bound_sweep(capsys):
 def test_coset_bound_single(capsys):
     code, doc = run_json(capsys, "coset-bound", "--m", "3", "--k", "2")
     assert code == 0
+    # a lone --m or --k used to run the sweep and ignore the value
+    for argv in (["--m", "5"], ["--k", "3"]):
+        code, out, err = run(capsys, "coset-bound", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: coset-bound takes --m and --k together, or neither\n"
 
 
 # -- report determinism -----------------------------------------------------------------

@@ -243,7 +243,8 @@ def test_pair_colouring_validate_all_seeds():
     for m in (3, 5):
         G = sym_group(m)
         for seed in range(3):
-            build_pair_colouring(G, seed).validate()
+            # the constructor proves the inverse constraint
+            build_pair_colouring(G, seed)
 
 
 def test_pair_colouring_validate_rejects_broken_base():
@@ -252,8 +253,11 @@ def test_pair_colouring_validate_rejects_broken_base():
     base = list(f.base)
     y = G.phi.index((2, 3, 1))
     base[y] = base[y] % 3 + 1
-    with pytest.raises(ValueError):
-        PairColouring(group=G, base=tuple(base)).validate()
+    with pytest.raises(ValueError, match=f"base colours of {y} and its inverse"):
+        PairColouring(group=G, base=tuple(base))
+    # entry 0 is the diagonal of every orbit block
+    with pytest.raises(ValueError, match="base entry 0"):
+        PairColouring(group=G, base=(7, *f.base[1:]))
 
 
 def test_pair_colouring_even_palette_raises():
@@ -298,7 +302,6 @@ def test_pair_colour_laws_exhaustive_on_order_48_group():
 
     G = enumerate_cover(4, CoverKind.TILDE).group
     f = build_pair_colouring(G, 1)
-    f.validate()
     F = pair_colour_matrix(f)
     assert np.array_equal(F, F.T)
     phi_table = np.zeros((G.size, G.m + 1), dtype=np.int32)
@@ -555,7 +558,6 @@ def test_corrupted_phi_entry_is_caught():
     assert G.gens == (1, 2) and G.m == 4
     phi[5] = phi[1]
     colouring = PairColouring(group=G, base=(0,) + (4,) * 5)
-    colouring.validate()
     spec = OrbitGraphSpec(colouring=colouring, orbit_count=1, inter={}, seed=0)
     report = verify_colour_group(spec)
     assert report.inconsistent == () and report.all_consistent

@@ -597,6 +597,12 @@ def test_json_reader_rejects_malformed_document():
     # colours are stored as int32
     with pytest.raises(ValueError, match="palette size"):
         ColouredGraph.from_json(json.dumps({"m": 2**32, "n": 2, "colours": [[0, 1, 2**32]]}))
+    # deeper than the JSON parser recurses; the spec reader shares the loader
+    from coloursym.equivariant import OrbitGraphSpec
+
+    for reader in (ColouredGraph.from_json, OrbitGraphSpec.from_json):
+        with pytest.raises(ValueError, match="nests too deeply"):
+            reader("[" * 100000 + "]" * 100000)
 
 
 json_values = st.recursive(

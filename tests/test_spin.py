@@ -512,11 +512,6 @@ def test_order_rule_table_mode_validation():
         order_rule_table(8, TILDE, mode="exhaustive")
 
 
-def test_order_rule_render_text():
-    text = order_rule_table(4, TILDE).render_text()
-    assert "tilde" in text and "pass" in text
-
-
 # -- the supplement condition ------------------------------------------------------------
 
 
