@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -111,6 +112,16 @@ def _write_graph(path: str, graph: ColouredGraph, labels: Optional[list] = None)
         out.write("" if labels is None else '{"graph": ')
         out.writelines(graph.json_chunks())
         out.write(tail + "\n")
+
+
+def _check_writable(*paths: Optional[str]) -> None:
+    """Raise the OSError that writing each given path would raise, before
+    any work; a file that did not exist is removed again."""
+    for path in filter(None, paths):
+        existed = os.path.lexists(path)
+        open(path, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(path)
 
 
 def _write_orbit_graph(report: RunReport, path: str, ver: ColourGroupReport) -> None:
@@ -446,6 +457,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
+        _check_writable(getattr(args, "out", None), getattr(args, "dot", None))
         report = args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

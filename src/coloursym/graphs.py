@@ -172,35 +172,24 @@ def _upper_pairs(n: int, entries: int) -> Iterator[tuple[np.ndarray, np.ndarray]
         yield u + start, v
 
 
-_Digits = tuple[np.ndarray, np.ndarray]
+def _digits(count: int) -> np.ndarray:
+    """The integers 0..count-1 as ASCII digits, one fixed-width bytes record
+    each, padded with NUL bytes to the width of the largest."""
+    return np.arange(count).astype(f"S{len(str(max(count - 1, 0)))}")
 
 
-def _digits(count: int) -> _Digits:
-    """The integers 0..count-1 as right-aligned ASCII digits, one uint8 row
-    each, and the mask of the cells that hold a digit rather than padding."""
-    width = len(str(max(count - 1, 0)))
-    values = np.arange(count)[:, None]
-    powers = 10 ** np.arange(width - 1, -1, -1)
-    digits = (values // powers % 10 + ord("0")).astype(np.uint8)
-    return digits, (values >= powers) | (powers == 1)
-
-
-def _render(*parts: bytes | tuple[_Digits, np.ndarray]) -> str:
+def _render(*parts: bytes | tuple[np.ndarray, np.ndarray]) -> str:
     """One line per row: each part is bytes, the same on every row, or a
-    (_digits table, values) pair giving one value per row. The parts' cells
-    are laid side by side, and one boolean index drops the padding."""
+    (_digits table, values) pair giving one value per row. Each row is one
+    record with a field per part, and the records' NUL padding is stripped."""
+    if any(isinstance(part, bytes) and b"\0" in part for part in parts):
+        raise ValueError("a literal holds a NUL byte, which the renderer strips as padding")
+    columns = [np.array(part) if isinstance(part, bytes) else part[0][part[1]] for part in parts]
     rows = next(len(part[1]) for part in parts if not isinstance(part, bytes))
-    cells, keep = [], []
-    for part in parts:
-        if isinstance(part, bytes):
-            literal = np.frombuffer(part, dtype=np.uint8)
-            cells.append(np.broadcast_to(literal, (rows, len(literal))))
-            keep.append(np.ones((rows, len(literal)), dtype=bool))
-        else:
-            (digits, mask), values = part
-            cells.append(digits[values])
-            keep.append(mask[values])
-    return np.concatenate(cells, axis=1)[np.concatenate(keep, axis=1)].tobytes().decode("ascii")
+    records = np.empty(rows, dtype=[(f"f{i}", column.dtype) for i, column in enumerate(columns)])
+    for i, column in enumerate(columns):
+        records[f"f{i}"] = column
+    return records.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def load_json(text: str) -> object:

@@ -52,10 +52,6 @@ class CoverKind(enum.Enum):
     TILDE = "tilde"  # e_i^2 = -1
     HAT = "hat"  # e_i^2 = +1
 
-    @property
-    def square_sign(self) -> int:
-        return -1 if self is CoverKind.TILDE else 1
-
 
 def coefficient(n: int, k: int) -> tuple[int, int]:
     """Normal form (n, k) of one term's coefficient n * (sqrt 2)^(-k), n != 0
@@ -72,25 +68,23 @@ def coefficient(n: int, k: int) -> tuple[int, int]:
 SCALAR_ZERO = (0, 0)
 
 
+def sign_mask(b: int, kind: CoverKind) -> int:
+    """Bit i is set when e_i passes an odd number of b's generators on its
+    way right, or, for tilde, squares one of them: e_a * e_b is then
+    (-1)^popcount(a & mask) times e_(a ^ b). Bits above b's top generator
+    are all set when b has an odd number of them (a negative mask)."""
+    mask = b if kind is CoverKind.TILDE else 0
+    while b:
+        low = b & -b
+        mask ^= -low << 1  # every bit above this generator
+        b ^= low
+    return mask
+
+
 def blade_mul(a: int, b: int, kind: CoverKind) -> tuple[int, int]:
     """Product of two basis blades (bitmask over generators, bit i-1 for
-    e_i): the symmetric-difference blade and the accumulated sign from
-    anticommutations and squared generators."""
-    sign = 1
-    acc = a
-    rest = b
-    while rest:
-        low = rest & -rest
-        i = low.bit_length() - 1
-        if (acc >> (i + 1)).bit_count() % 2:
-            sign = -sign
-        if acc & low:
-            sign *= kind.square_sign
-            acc &= ~low
-        else:
-            acc |= low
-        rest ^= low
-    return acc, sign
+    e_i): the symmetric-difference blade and its sign."""
+    return a ^ b, -1 if (a & sign_mask(b, kind)).bit_count() % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -174,10 +168,11 @@ def pin_mul(a: PinElement, b: PinElement) -> PinElement:
     if a.kind is not b.kind or a.m != b.m:
         raise ValueError("elements live in different algebras")
     acc: dict[int, int] = {}
-    for mask_a, na in a.coeffs:
-        for mask_b, nb in b.coeffs:
-            mask, sign = blade_mul(mask_a, mask_b, a.kind)
-            acc[mask] = acc.get(mask, 0) + sign * na * nb
+    for mask_b, nb in b.coeffs:
+        signs = sign_mask(mask_b, a.kind)
+        for mask_a, na in a.coeffs:
+            n = -na * nb if (mask_a & signs).bit_count() % 2 else na * nb
+            acc[mask_a ^ mask_b] = acc.get(mask_a ^ mask_b, 0) + n
     return PinElement(a.kind, a.m, a.k + b.k, tuple(acc.items()))
 
 

@@ -445,6 +445,47 @@ def test_sizes_are_checked_before_any_work(tmp_path, capsys, monkeypatch, argv):
     assert "limit" in err
 
 
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        pytest.param(["gen-random", "--n", "4", "--m", "2", "--out", "missing/o.json"],
+                     "random_graph", id="gen-random-out"),
+        pytest.param(["gen-random", "--n", "4", "--m", "2", "--out", "o.json", "--dot", "missing/o.dot"],
+                     "random_graph", id="gen-random-dot"),
+        pytest.param(["saturate", "--in", "small.json", "--k", "2", "--out", "missing/o.json"],
+                     "saturate", id="saturate"),
+        pytest.param(["supplement", "--m", "5", "--cover", "hat", "--out", "missing/o.json"],
+                     "enumerate_cover", id="supplement"),
+        pytest.param(["complement", "--m", "3", "--out", "missing/o.json"],
+                     "sym_complement", id="complement"),
+    ],
+)
+def test_output_paths_are_checked_before_any_work(tmp_path, capsys, monkeypatch, argv, work):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "small.json").write_text(random_graph(3, 3, 1).to_json())
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output paths were checked")
+
+    monkeypatch.setattr(cli, work, never)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "missing/o." in err
+    assert [p.name for p in tmp_path.iterdir()] == ["small.json"]  # no --out left behind
+
+
+def test_output_checks_leave_files_as_they_were(tmp_path, capsys):
+    out = tmp_path / "o.json"
+    code, text, _ = run(capsys, "supplement", "--m", "2", "--cover", "hat", "--out", str(out))
+    assert code == 1 and "blocking involution" in text
+    assert not out.exists()
+    out.write_text("kept")
+    code, _, err = run(capsys, "saturate", "--in", str(tmp_path / "absent.json"), "--k", "2", "--out", str(out))
+    assert code == 2 and "absent.json" in err
+    assert out.read_text() == "kept"
+
+
 # -- coset-bound ---------------------------------------------------------------------
 
 

@@ -530,6 +530,21 @@ def test_small_graphs_take_small_blocks():
     assert peak < 64 * 2**10
 
 
+def test_digit_records_strip_to_the_integers():
+    # the tables at each digit edge up to the vertex limit, and at the limit
+    edges = [10**w + d for w in range(len(str(graphs.MAX_VERTICES))) for d in (-1, 0, 1)]
+    for count in sorted({0, graphs.MAX_VERTICES, *edges}):
+        table = graphs._digits(count)
+        width, raw = table.dtype.itemsize, table.tobytes()
+        assert width == len(str(max(count - 1, 0))) and len(raw) == count * width
+        records = [raw[i * width : (i + 1) * width] for i in range(count)]
+        assert [r.replace(b"\0", b"").decode() for r in records] == [str(i) for i in range(count)]
+    vertex = graphs._digits(11)
+    assert graphs._render(b"<", (vertex, np.array([0, 10])), b">\n") == "<0>\n<10>\n"
+    with pytest.raises(ValueError, match="NUL"):
+        graphs._render(b"<\0", (vertex, np.array([0, 10])))
+
+
 def test_json_reader_rejects_booleans_as_integers():
     with pytest.raises(ValueError):
         ColouredGraph.from_json('{"m": true, "n": 2, "colours": [[0, 1, 1]]}')

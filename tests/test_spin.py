@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from coloursym.perms import (
     transposition,
 )
 from coloursym.spin import (
+    DIRECT_LIFT_MAX_M,
     CoverKind,
     PinElement,
     SpinCover,
@@ -87,8 +89,8 @@ def test_blade_anticommutation():
 def test_blade_mul_matches_dense_oracle():
     # oracle: multiply generator sequences symbol by symbol
     def slow(a_bits, b_bits, kind):
-        seq = [i for i in range(4) if a_bits >> i & 1] + [
-            i for i in range(4) if b_bits >> i & 1
+        seq = [i for i in range(a_bits.bit_length()) if a_bits >> i & 1] + [
+            i for i in range(b_bits.bit_length()) if b_bits >> i & 1
         ]
         sign = 1
         changed = True
@@ -100,7 +102,7 @@ def test_blade_mul_matches_dense_oracle():
                     sign = -sign
                     changed = True
                 elif seq[i] == seq[i + 1]:
-                    sign *= kind.square_sign
+                    sign *= -1 if kind is TILDE else 1  # e_i^2
                     del seq[i : i + 2]
                     changed = True
                     break
@@ -109,10 +111,12 @@ def test_blade_mul_matches_dense_oracle():
             mask |= 1 << i
         return mask, sign
 
+    # every pair of 6-bit blades, then seeded pairs at the direct lift's full width
+    rng = random.Random(12)
+    wide = [(rng.getrandbits(DIRECT_LIFT_MAX_M), rng.getrandbits(DIRECT_LIFT_MAX_M)) for _ in range(2000)]
     for kind in (TILDE, HAT):
-        for a in range(16):
-            for b in range(16):
-                assert blade_mul(a, b, kind) == slow(a, b, kind)
+        for a, b in [*itertools.product(range(64), repeat=2), *wide]:
+            assert blade_mul(a, b, kind) == slow(a, b, kind), (a, b, kind)
 
 
 # -- algebra elements -----------------------------------------------------------
