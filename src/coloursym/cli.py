@@ -160,6 +160,8 @@ def cmd_complement(args: argparse.Namespace) -> RunReport:
         seed=args.seed,
     )
     m = args.m
+    if args.out and m % 2 == 0:
+        raise ValueError(f"complement --out needs odd m, where the orbit graph is built; got m={m}")
     if m % 2 == 1:
         _, ver = sym_complement(m, args.orbits, args.seed)
         report.check(
@@ -204,6 +206,11 @@ def cmd_supplement(args: argparse.Namespace) -> RunReport:
         seed=args.seed,
     )
     m = args.m
+    if args.out and m > COVER_ENUM_MAX_M:
+        raise ValueError(
+            f"supplement --out needs m <= {COVER_ENUM_MAX_M}, "
+            f"where the orbit graph is built; got m={m}"
+        )
     if m > COVER_ENUM_MAX_M and m % 2 == 1:
         report.check(
             "supplement-condition",

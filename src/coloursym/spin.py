@@ -18,6 +18,12 @@ Group elements therefore compare and hash by value and the enumeration
 can intern them. Read one term at a time, an element is a list of
 (blade, n, k) triples, each coefficient n * (sqrt 2)^(-k) reduced on its
 own (`coefficient`); the cover JSON writes elements that way.
+
+Cover enumeration keeps the same normal form densely: the exponent k and
+one int64 row over all 2^m blades. Right multiplication by a generator is
+then a signed gather of the row, so the closure runs on whole layers of
+rows, and an enumerated cover builds its PinElements only when they are
+first read.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Optional
+
+import numpy as np
 
 from .equivariant import FiniteGroup, cayley_table
 from .perms import (
@@ -156,13 +164,6 @@ def pair_vector(a: int, b: int, m: int, kind: CoverKind) -> PinElement:
     return PinElement(kind, m, 1, ((1 << (a - 1), 1), (1 << (b - 1), -1)))
 
 
-def coxeter_generator(i: int, m: int, kind: CoverKind) -> PinElement:
-    """(e_i - e_{i+1})/sqrt(2), projecting to the transposition (i, i+1)."""
-    if not 1 <= i <= m - 1:
-        raise ValueError(f"generator index {i} out of range 1..{m - 1}")
-    return pair_vector(i, i + 1, m, kind)
-
-
 def pin_mul(a: PinElement, b: PinElement) -> PinElement:
     """Bilinear extension of blade multiplication; the exponents add."""
     if a.kind is not b.kind or a.m != b.m:
@@ -245,15 +246,29 @@ def lift(p: Perm, kind: CoverKind) -> PinElement:
 @dataclass(frozen=True, eq=False)
 class SpinCover:
     """An enumerated double cover: the interned FiniteGroup (phi = the
-    projection), the algebra element behind every label, and the label of
-    the central -1."""
+    projection), the label of the central -1, and the algebra element
+    behind every label as (sqrt 2)^(-exponents[g]) times the integers of
+    the read-only int64 row rows[g] (column b holds blade b), in
+    PinElement's normal form. `elements` (the same elements as PinElements)
+    and `index` (their labels) are built on first read."""
 
     kind: CoverKind
     m: int
     group: FiniteGroup
-    elements: tuple[PinElement, ...]
-    index: Mapping[PinElement, int]
+    exponents: tuple[int, ...]
+    rows: np.ndarray
     neg_unit_label: int
+
+    @functools.cached_property
+    def elements(self) -> tuple[PinElement, ...]:
+        return tuple(
+            PinElement(self.kind, self.m, k, tuple((b, n) for b, n in enumerate(row) if n))
+            for k, row in zip(self.exponents, self.rows.tolist())
+        )
+
+    @functools.cached_property
+    def index(self) -> Mapping[PinElement, int]:
+        return {x: g for g, x in enumerate(self.elements)}
 
     def negate_label(self, g: int) -> int:
         return int(self.group.mul[self.neg_unit_label, g])
@@ -279,46 +294,69 @@ class SpinCover:
 
 @functools.lru_cache(maxsize=None)
 def enumerate_cover(m: int, kind: CoverKind) -> SpinCover:
-    """Close {pair generators} union {-1} under multiplication, intern the
-    elements in discovery order (identity first) and build the full
-    multiplication table. The closure must have exactly 2 * m! elements,
-    and FiniteGroup proves the table a group."""
+    """Close {pair generators} union {-1} under right multiplication, intern
+    the elements in discovery order (identity first; each element's products
+    in generator order) and build the full multiplication table. The
+    closure must have exactly 2 * m! elements, and FiniteGroup proves the
+    table a group.
+
+    It runs one breadth-first layer at a time on integer blade rows in
+    PinElement's normal form, keyed by (k, row bytes): x * e_i holds
+    sign(c ^ e_i, e_i) * x[c ^ e_i] at blade c, the Coxeter lift is two such
+    gathers with k + 1, and -1 negates."""
     if not 2 <= m <= COVER_ENUM_MAX_M:
         raise ValueError(f"m must be in 2..{COVER_ENUM_MAX_M} for enumeration")
-    gens = [coxeter_generator(i, m, kind) for i in range(1, m)] + [unit(-1, m, kind)]
+    blades = np.arange(1 << m)
+    sources = [blades ^ (1 << i) for i in range(m)]
+    signs = [
+        np.array([blade_mul(c, 1 << i, kind)[1] for c in src.tolist()])
+        for i, src in enumerate(sources)
+    ]
     gen_projs = [transposition(m, i, i + 1) for i in range(1, m)] + [identity(m)]
-    elements: list[PinElement] = [unit(1, m, kind)]
-    index: dict[PinElement, int] = {elements[0]: 0}
+    one = (blades == 0).astype(np.int64)
+    blocks = [one[None]]  # the rows each layer found, in discovery order
+    exponents: list[int] = [0]
+    index = {(0, one.tobytes()): 0}
     phi: list[Perm] = [identity(m)]
-    steps: list[tuple[int, int, int]] = []  # (y, p, g): y = p * gens[g]
-    right: list[list[int]] = [[] for _ in gens]
+    steps: list[tuple[int, int, int]] = []  # (y, p, g): y = p * generator g
+    right: list[list[int]] = [[] for _ in gen_projs]
     target = 2 * math.factorial(m)
-    i = 0
-    while i < len(elements):
-        x = elements[i]
-        for gi, g in enumerate(gens):
-            y = pin_mul(x, g)
-            j = index.get(y)
-            if j is None:
-                j = len(elements)
+    start = 0
+    while len(layer := blocks[-1]):
+        ks = np.array(exponents[start:])
+        terms = [layer[:, src] * sign for src, sign in zip(sources, signs)]
+        prods = np.stack([a - b for a, b in zip(terms, terms[1:])] + [-layer], axis=1)
+        prods = prods.reshape(-1, 1 << m)
+        exps = np.stack([ks + 1] * (m - 1) + [ks], axis=1).ravel()
+        while (halve := (exps >= 2) & ~(prods & 1).any(axis=1)).any():
+            prods[halve] //= 2
+            exps[halve] -= 2
+        found = []
+        for r, (k, row) in enumerate(zip(exps.tolist(), prods)):
+            i, gi = start + r // m, r % m
+            j = index.setdefault((k, row.tobytes()), len(exponents))
+            if j == len(exponents):
                 if j >= target:
                     raise RuntimeError(f"closure exceeds the expected size {target}")
-                index[y] = j
-                elements.append(y)
+                found.append(r)
+                exponents.append(k)
                 phi.append(compose(phi[i], gen_projs[gi]))
                 steps.append((j, i, gi))
             right[gi].append(j)
-        i += 1
-    size = len(elements)
+        start += len(layer)
+        blocks.append(prods[found])
+    size = len(exponents)
     if size != target:
         raise RuntimeError(f"closure size {size} != 2 * {m}! = {target}")
+    table = np.concatenate(blocks)
+    table.flags.writeable = False
     return SpinCover(
         kind=kind,
         m=m,
         group=FiniteGroup(mul=cayley_table(right, steps), phi=tuple(phi)),
-        elements=tuple(elements),
-        index=index,
-        neg_unit_label=index[unit(-1, m, kind)],
+        exponents=tuple(exponents),
+        rows=table,
+        neg_unit_label=right[-1][0],  # 1 * (-1)
     )
 
 

@@ -139,6 +139,19 @@ def test_out_reuses_the_verified_orbit_graph(tmp_path, capsys, monkeypatch, argv
     assert ColouredGraph.from_json_dict(doc["graph"]) == assemble(specs[0])
 
 
+def test_supplement_leaves_the_cover_elements_unbuilt(tmp_path, capsys):
+    # the closure works on integer blade rows; PinElements are built on first read
+    spin.enumerate_cover.cache_clear()
+    path = tmp_path / "s5.json"
+    code, _, _ = run(capsys, "supplement", "--m", "5", "--cover", "hat", "--orbits", "2",
+                     "--out", str(path))
+    assert code == 0 and path.exists()
+    cover = spin.enumerate_cover(5, spin.CoverKind.HAT)
+    assert spin.enumerate_cover.cache_info().hits == 1
+    assert "elements" not in cover.__dict__ and "index" not in cover.__dict__
+    assert all(cover.index[x] == g for g, x in enumerate(cover.elements))
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -473,6 +486,29 @@ def test_output_paths_are_checked_before_any_work(tmp_path, capsys, monkeypatch,
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "missing/o." in err
     assert [p.name for p in tmp_path.iterdir()] == ["small.json"]  # no --out left behind
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        pytest.param(["supplement", "--m", "7", "--cover", "hat"], "lift_orders", id="supplement-m7"),
+        pytest.param(["supplement", "--m", "10", "--cover", "tilde"], "lift_orders", id="supplement-m10"),
+        pytest.param(["complement", "--m", "4"], "symmetric_group", id="complement-m4"),
+    ],
+)
+def test_out_is_refused_where_no_graph_is_built(tmp_path, capsys, monkeypatch, argv, work):
+    # these branches build no orbit graph, so --out would be dropped silently
+    monkeypatch.chdir(tmp_path)
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --out was refused")
+
+    monkeypatch.setattr(cli, work, never)
+    code, out, err = run(capsys, *argv, "--out", "o.json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--out" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_output_checks_leave_files_as_they_were(tmp_path, capsys):

@@ -115,8 +115,9 @@ def test_group_from_perms_degree_above_fifteen_matches_the_all_products_table():
 
 @pytest.mark.parametrize("kind", list(CoverKind))
 def test_cover_table_matches_the_all_products_table(kind):
-    cover = enumerate_cover(3, kind)
-    assert np.array_equal(cover.group.mul, table_from_all_products(cover.elements, pin_mul))
+    for m in (3, 4):
+        cover = enumerate_cover(m, kind)
+        assert np.array_equal(cover.group.mul, table_from_all_products(cover.elements, pin_mul))
 
 
 def test_cayley_table_fills_columns_along_the_steps():

@@ -26,7 +26,6 @@ from coloursym.spin import (
     blocking_involutions,
     canonical_fpf_involution,
     coefficient,
-    coxeter_generator,
     enumerate_cover,
     lift,
     order,
@@ -124,25 +123,25 @@ def test_blade_mul_matches_dense_oracle():
 
 def test_unit_laws():
     one = unit(1, 3, TILDE)
-    x = coxeter_generator(1, 3, TILDE)
+    x = pair_vector(1, 2, 3, TILDE)
     assert pin_mul(x, one) == x
     assert pin_mul(one, x) == x
     assert pin_mul(unit(-1, 3, TILDE), unit(-1, 3, TILDE)) == one
 
 
 def test_generator_squares():
-    assert pin_mul(coxeter_generator(1, 2, TILDE), coxeter_generator(1, 2, TILDE)) == unit(-1, 2, TILDE)
-    assert pin_mul(coxeter_generator(1, 2, HAT), coxeter_generator(1, 2, HAT)) == unit(1, 2, HAT)
+    assert pin_mul(pair_vector(1, 2, 2, TILDE), pair_vector(1, 2, 2, TILDE)) == unit(-1, 2, TILDE)
+    assert pin_mul(pair_vector(1, 2, 2, HAT), pair_vector(1, 2, 2, HAT)) == unit(1, 2, HAT)
 
 
 def test_disjoint_generators_anticommute():
-    a = coxeter_generator(1, 4, HAT)
-    b = coxeter_generator(3, 4, HAT)
+    a = pair_vector(1, 2, 4, HAT)
+    b = pair_vector(3, 4, 4, HAT)
     assert pin_mul(a, b) == pin_neg(pin_mul(b, a))
 
 
 def test_generator_has_two_blades():
-    g = coxeter_generator(2, 5, TILDE)
+    g = pair_vector(2, 3, 5, TILDE)
     assert len(g.coeffs) == 2
     assert project(g) == transposition(5, 2, 3)
 
@@ -425,6 +424,8 @@ COVER_JSON_SHA256 = {
     (4, HAT): "477a4916759bfbee837a4a5b4189d59d56229f26861d4e9978289a5e257bdb02",
     (5, TILDE): "58a3d6d97ea0ec1e5be9880c97eca451fc20aa18c96fc897a891c923e6ba856f",
     (5, HAT): "5c68a5d2941688fc34831d242003cab876eecc46dba87673e42f1453075ce7d8",
+    (6, TILDE): "de15e2d7500a215632c6d25cff7ab4af834aabe826cd7bb4df5f969d65199ffc",
+    (6, HAT): "9a83ae3daca90e04c623740595d43fb6a9c2a9a08a65496c6be29eddb132b1bf",
 }
 
 
