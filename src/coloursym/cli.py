@@ -124,6 +124,18 @@ def _check_writable(*paths: Optional[str]) -> None:
             os.remove(path)
 
 
+def _refuse_unread(args: argparse.Namespace, flags: tuple[str, ...], needs: str) -> None:
+    """Raise before any work when the run's branch reads none of the given
+    flags but some were passed: each would be dropped without a word."""
+    given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+    if given:
+        verb = "needs" if len(given) == 1 else "need"
+        raise ValueError(
+            f"{args.command} {' and '.join(given)} {verb} {needs}, "
+            f"where the orbit graph is built; got m={args.m}"
+        )
+
+
 def _write_orbit_graph(report: RunReport, path: str, ver: ColourGroupReport) -> None:
     size = ver.group_size  # each flat vertex id is labelled with its orbit and group element
     labels = [{"orbit": v // size, "element": v % size} for v in range(ver.graph.n)]
@@ -154,16 +166,17 @@ def cmd_gen_random(args: argparse.Namespace) -> RunReport:
 
 
 def cmd_complement(args: argparse.Namespace) -> RunReport:
+    m = args.m
+    if m % 2 == 0:
+        _refuse_unread(args, ("out", "orbits"), "odd m")
+    orbits = 2 if args.orbits is None else args.orbits
     report = RunReport(
         command="complement",
-        params={"m": args.m, "orbits": args.orbits},
+        params={"m": m, "orbits": orbits},
         seed=args.seed,
     )
-    m = args.m
-    if args.out and m % 2 == 0:
-        raise ValueError(f"complement --out needs odd m, where the orbit graph is built; got m={m}")
     if m % 2 == 1:
-        _, ver = sym_complement(m, args.orbits, args.seed)
+        _, ver = sym_complement(m, orbits, args.seed)
         report.check(
             "all-elements-consistent",
             ver.all_consistent,
@@ -200,17 +213,16 @@ def cmd_complement(args: argparse.Namespace) -> RunReport:
 
 def cmd_supplement(args: argparse.Namespace) -> RunReport:
     kind = CoverKind(args.cover)
+    m = args.m
+    if m > COVER_ENUM_MAX_M:
+        _refuse_unread(args, ("out", "orbits", "seed"), f"m <= {COVER_ENUM_MAX_M}")
+    orbits = 1 if args.orbits is None else args.orbits
+    seed = 0 if args.seed is None else args.seed
     report = RunReport(
         command="supplement",
-        params={"m": args.m, "cover": kind.value, "orbits": args.orbits},
-        seed=args.seed,
+        params={"m": m, "cover": kind.value, "orbits": orbits},
+        seed=seed,
     )
-    m = args.m
-    if args.out and m > COVER_ENUM_MAX_M:
-        raise ValueError(
-            f"supplement --out needs m <= {COVER_ENUM_MAX_M}, "
-            f"where the orbit graph is built; got m={m}"
-        )
     if m > COVER_ENUM_MAX_M and m % 2 == 1:
         report.check(
             "supplement-condition",
@@ -250,7 +262,7 @@ def cmd_supplement(args: argparse.Namespace) -> RunReport:
     cover = enumerate_cover(m, kind)
     try:
         # the colouring visits every involution, so it fails exactly when one blocks
-        f = build_pair_colouring(cover.group, args.seed)
+        f = build_pair_colouring(cover.group, seed)
     except FixedPointFreeInvolution as exc:
         report.check(
             "supplement-condition",
@@ -264,7 +276,7 @@ def cmd_supplement(args: argparse.Namespace) -> RunReport:
         True,
         f"every order-2 element of the {kind.value} cover fixes a colour or acts trivially",
     )
-    spec = make_orbit_spec(cover.group, f, args.orbits, args.seed)
+    spec = make_orbit_spec(cover.group, f, orbits, seed)
     ver = verify_colour_group(spec)
     report.check("all-elements-consistent", ver.all_consistent, ver.summary())
     report.check(
@@ -410,9 +422,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="verify the colour-symmetry complement (odd m) or the obstruction (even m)",
     )
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--orbits", type=int, default=2)
+    p.add_argument("--orbits", type=int, default=None, help="orbit copies, odd m only (default 2)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="write the assembled graph JSON here")
+    p.add_argument("--out", default=None, help="write the assembled graph JSON here (odd m only)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_complement)
 
@@ -421,9 +433,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--cover", choices=["tilde", "hat"], required=True)
-    p.add_argument("--orbits", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    only = f"m <= {COVER_ENUM_MAX_M} only"
+    p.add_argument("--orbits", type=int, default=None, help=f"orbit copies, {only} (default 1)")
+    p.add_argument("--seed", type=int, default=None, help=f"colouring seed, {only} (default 0)")
+    p.add_argument("--out", default=None, help=f"write the assembled graph JSON here, {only}")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_supplement)
 

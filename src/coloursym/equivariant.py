@@ -68,15 +68,17 @@ class FiniteGroup:
     """Finite group as a multiplication table plus a colour action.
 
     mul[g, h] is the label of g*h; label 0 is the identity; phi[g] is the
-    permutation of {1..m} induced by g. Only mul and phi are given; size,
-    m, the inverses, the colour lookup table and a generating set are
-    derived from them. Construction is the proof: it raises ValueError
-    unless mul is a group table and phi a homomorphism into Sym(m) under
-    the package's right-action composition.
+    permutation of {1..m} induced by g. Only mul and phi are given, and
+    optionally the labels that whoever built the table proposes as
+    generators; size, m, the inverses, the colour lookup table and a
+    generating set (see `generators`) are derived from them. Construction
+    is the proof: it raises ValueError unless mul is a group table and phi
+    a homomorphism into Sym(m) under the package's right-action composition.
     """
 
     mul: np.ndarray = field(repr=False)
     phi: tuple[Perm, ...] = field(repr=False)
+    proposed: tuple[int, ...] = field(default=(), repr=False)
     size: int = field(init=False)
     m: int = field(init=False)
     inv: np.ndarray = field(init=False, repr=False)
@@ -107,7 +109,10 @@ class FiniteGroup:
         if phi[0] != identity(m):
             raise ValueError("the identity must act trivially on colours")
         phi_table = colour_lookup(phi)
-        gens = generators(mul)
+        proposed = tuple(self.proposed)
+        if not all(_is_int(g) and 0 <= g < size for g in proposed):
+            raise ValueError("proposed generators must be element labels")
+        gens = generators(mul, proposed)
         if not is_associative(mul, gens):
             raise ValueError("the multiplication table is not associative")
         if not is_phi_homomorphism(mul, phi_table, gens):
@@ -116,7 +121,8 @@ class FiniteGroup:
         for table in (mul, inv, phi_table):
             table.flags.writeable = False
         for name, value in dict(
-            mul=mul, phi=phi, size=size, m=m, inv=inv, phi_table=phi_table, gens=gens
+            mul=mul, phi=phi, proposed=proposed, size=size, m=m, inv=inv, phi_table=phi_table,
+            gens=gens,
         ).items():
             object.__setattr__(self, name, value)
 
@@ -187,8 +193,10 @@ def group_from_perms(perms: Iterable[Perm]) -> FiniteGroup:
     """Turn a set of colour permutations closed under composition and
     containing the identity (a finite such set is a group) into a
     FiniteGroup whose colour action is the tautological one. Labels: the
-    identity, then the rest sorted. Closure is proven by generators (picked
-    as in `generators`) that reach every label and map the set into itself."""
+    identity, then the rest sorted. Closure is proven by generators that
+    reach every label and map the set into itself: (1 2) and (1 2 ... m)
+    where the set holds them, which generate Sym(m), completed as in
+    `generators`; the FiniteGroup is proposed the same labels."""
     elems = {tuple(int(x) for x in p) for p in perms}
     if not elems:
         raise ValueError("at least the identity permutation is required")
@@ -204,11 +212,15 @@ def group_from_perms(perms: Iterable[Perm]) -> FiniteGroup:
         raise ValueError("the identity permutation is missing")
     ordering = [ident] + sorted(elems - {ident})
     index = {p: i for i, p in enumerate(ordering)}
+    swap, rotation = (2, 1, *range(3, m + 1)), (*range(2, m + 1), 1)  # (1 2), (1 2 ... m)
+    pending = iter([index[p] for p in (swap, rotation) if p in index])
     reached = [True] + [False] * (len(ordering) - 1)
+    labels: list[int] = []
     right: list[list[int]] = []
     steps: list[tuple[int, int, int]] = []
     while not all(reached):
-        h = ordering[reached.index(False)]
+        labels.append(next((g for g in pending if not reached[g]), reached.index(False)))
+        h = ordering[labels[-1]]
         column = [index.get(compose(p, h)) for p in ordering]
         if None in column:
             p = ordering[column.index(None)]
@@ -224,7 +236,7 @@ def group_from_perms(perms: Iterable[Perm]) -> FiniteGroup:
                     reached[y] = True
                     steps.append((y, x, g))
                     queue.append(y)
-    return FiniteGroup(mul=cayley_table(right, steps), phi=tuple(ordering))
+    return FiniteGroup(mul=cayley_table(right, steps), phi=tuple(ordering), proposed=tuple(labels))
 
 
 def trivial_group(m: int) -> FiniteGroup:
@@ -239,10 +251,12 @@ def symmetric_group(m: int) -> FiniteGroup:
     return group_from_perms(enumerate_sym(m))
 
 
-def generators(mul: np.ndarray) -> tuple[int, ...]:
-    """Greedy generating set of a table: repeatedly adjoin the smallest label
-    outside the subgroup generated so far. In a group each new generator at
-    least doubles that subgroup, so there are at most log2 |G| of them.
+def generators(mul: np.ndarray, proposed: Sequence[int] = ()) -> tuple[int, ...]:
+    """Generating set of a table: repeatedly adjoin a label outside the
+    subgroup generated so far, the next proposed one while any is left and
+    then the smallest. In a group each new generator at least doubles that
+    subgroup, so there are at most log2 |G| of them, and proposed labels
+    already inside it are passed over.
 
     The subgroup grows by right multiplication from the identity, so every
     label is reached as a left-nested product of generators whether or not
@@ -250,8 +264,9 @@ def generators(mul: np.ndarray) -> tuple[int, ...]:
     reached = np.zeros(len(mul), dtype=bool)
     reached[0] = True
     gens: list[int] = []
+    pending = iter(proposed)
     while not reached.all():
-        gens.append(int(np.argmin(reached)))
+        gens.append(next((g for g in pending if not reached[g]), int(np.argmin(reached))))
         frontier = np.flatnonzero(reached)
         while frontier.size:
             images = np.unique(mul[np.ix_(frontier, gens)])
@@ -353,21 +368,18 @@ def pair_colour(f: PairColouring, x: int, y: int) -> int:
 
 def _orbit_block(G: FiniteGroup, quotient: np.ndarray, b: Sequence[int]) -> np.ndarray:
     """The block [y, z] = phi(z)(b[quotient[y, z]]) for quotient[y, z] =
-    y * z^-1: colours between two orbits, or inside one when b is the base
-    colouring, whose b[0] = 0 gives the zero diagonal."""
-    cols = np.arange(G.size)[None, :]
-    return G.phi_table[cols, np.asarray(b, dtype=np.int32)[quotient]]
-
-
-def _quotients(G: FiniteGroup) -> np.ndarray:
-    """[y, z] = y * z^-1."""
-    return G.mul[np.ix_(np.arange(G.size), G.inv)]
+    y * z^-1, over the rows y that quotient holds: colours between two
+    orbits, or inside one when b is the base colouring, whose b[0] = 0 gives
+    the zero diagonal. phi_table is read flat, row z from z * (m + 1) on."""
+    rows = np.arange(G.size, dtype=np.int32) * (G.m + 1)
+    return G.phi_table.ravel().take(np.asarray(b, dtype=np.uint8)[quotient] + rows)
 
 
 def pair_colour_matrix(f: PairColouring) -> np.ndarray:
     """All pair colours at once: entry [x, y] is pair_colour(f, x, y), with
     a zero diagonal."""
-    return _orbit_block(f.group, _quotients(f.group), f.base).T
+    G = f.group
+    return _orbit_block(G, G.mul[:, G.inv], f.base).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,20 +486,30 @@ def make_orbit_spec(
 def assemble_orbit_graph(spec: OrbitGraphSpec) -> ColouredGraph:
     """Materialise the complete coloured graph: inside an orbit the pair
     colouring; for orbits i < j the colour of {y_i, z_j} is the image under
-    phi(z) of the inter colour at y*z^-1."""
+    phi(z) of the inter colour at y*z^-1.
+
+    The uint8 matrix is written in blocks of rows y of the group, each
+    block of orbits i < j above the diagonal and its transpose below. An
+    orbit's own block is the transpose of its base colouring's block, which
+    PairColouring's constraint makes symmetric, so the whole matrix is
+    symmetric by construction. It is handed over read-only, and
+    ColouredGraph checks it without a copy."""
     G = spec.group
     size = G.size
-    n = spec.vertex_count
-    quotient = _quotients(G)
-    F = _orbit_block(G, quotient, spec.colouring.base).T
-    C = np.zeros((n, n), dtype=np.int32)
-    for i in range(spec.orbit_count):
-        C[i * size : (i + 1) * size, i * size : (i + 1) * size] = F
-    for (i, j), values in sorted(spec.inter.items()):
-        block = _orbit_block(G, quotient, values)
-        C[i * size : (i + 1) * size, j * size : (j + 1) * size] = block
-        C[j * size : (j + 1) * size, i * size : (i + 1) * size] = block.T
-    return ColouredGraph(m=G.m, n=n, colours=C)
+    colourings = [((i, i), spec.colouring.base) for i in range(spec.orbit_count)]
+    colourings += sorted(spec.inter.items())
+    C = np.empty((spec.vertex_count, spec.vertex_count), dtype=np.uint8)
+    rows = max(1, ROW_BLOCK_ENTRIES // size)
+    for start in range(0, size, rows):
+        quotient = G.mul[start : start + rows][:, G.inv]  # [y, z] = y * z^-1
+        stop = start + len(quotient)
+        for (i, j), values in colourings:
+            block = _orbit_block(G, quotient, values)
+            if i != j:
+                C[i * size + start : i * size + stop, j * size : (j + 1) * size] = block
+            C[j * size : (j + 1) * size, i * size + start : i * size + stop] = block.T
+    C.flags.writeable = False
+    return ColouredGraph(m=G.m, n=spec.vertex_count, colours=C)
 
 
 def action_vertex_perm(spec: OrbitGraphSpec, g: int) -> Perm:

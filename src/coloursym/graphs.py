@@ -40,9 +40,9 @@ from .perms import (
 )
 
 OBSTRUCTION_GUARD = 7  # n! vertex permutations are enumerated; 7! is the ceiling
-ROW_BLOCK_ENTRIES = 1 << 20  # whole-matrix scans work on row blocks of about this size
+ROW_BLOCK_ENTRIES = 1 << 20  # whole-matrix scans work on row blocks or tiles of about this size
 MAX_PALETTE = 255  # colours fit one byte, and reports list every colour
-MAX_VERTICES = 1 << 14  # a 1 GiB int32 matrix; complement --m 7 needs 10080
+MAX_VERTICES = 1 << 14  # a 256 MiB uint8 matrix; complement --m 7 needs 10080
 MAX_SWEEP_QUERIES = 10**7  # witness queries per sweep; keeps base-m codes in int32
 SWEEP_BLOCK_ENTRIES = 1 << 14  # colours a witness sweep or the graph writer reads at once
 
@@ -56,7 +56,11 @@ class WitnessMissingError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ColouredGraph:
-    """Complete graph on n vertices, unordered pairs coloured from 1..m."""
+    """Complete graph on n vertices, unordered pairs coloured from 1..m.
+
+    The colours are kept as a read-only uint8 matrix. Any integer matrix is
+    checked in its own dtype and then copied; a read-only uint8 matrix,
+    such as a builder hands over once it is done writing, is kept as it is."""
 
     m: int
     n: int
@@ -72,17 +76,23 @@ class ColouredGraph:
             raise ValueError(f"colour matrix must be {self.n}x{self.n}, got {C.shape}")
         if not np.issubdtype(C.dtype, np.integer):
             raise ValueError(f"colours must be integers, got {C.dtype}")
-        if self.n:
-            if np.diagonal(C).any():
-                raise ValueError("diagonal must be zero (no self-pairs)")
-            if not np.array_equal(C, C.T):
-                raise ValueError("colour matrix must be symmetric")
+        if np.diagonal(C).any():
+            raise ValueError("diagonal must be zero (no self-pairs)")
+        side = math.isqrt(ROW_BLOCK_ENTRIES)  # square tiles of about ROW_BLOCK_ENTRIES entries
+        for i in range(0, self.n, side):
+            rows = C[i : i + side]
             # with a zero diagonal, off-diagonal colours lie in 1..m exactly
             # when none is negative, none exceeds m and none is zero
-            if C.min() < 0 or C.max() > self.m or np.count_nonzero(C) != self.n * (self.n - 1):
+            if rows.min() < 0 or rows.max() > self.m or (
+                np.count_nonzero(rows) != len(rows) * (self.n - 1)
+            ):
                 raise ValueError(f"colours must lie in 1..{self.m}")
-        C = C.astype(np.int32)  # always a copy: the caller's array stays theirs
-        C.flags.writeable = False
+            for j in range(i, self.n, side):  # each tile on or above the diagonal
+                if not np.array_equal(rows[:, j : j + side], C[j : j + side, i : i + side].T):
+                    raise ValueError("colour matrix must be symmetric")
+        if C.dtype != np.uint8 or C.flags.writeable:
+            C = C.astype(np.uint8)  # a copy: the caller's array stays theirs
+            C.flags.writeable = False
         object.__setattr__(self, "colours", C)
 
     def colour_of(self, u: int, v: int) -> int:
@@ -128,12 +138,22 @@ class ColouredGraph:
 
     def _pair_lines(self, head: bytes, sep: bytes, colour_sep: bytes, tail: bytes) -> Iterator[str]:
         """Every pair u < v as head u sep v colour_sep c tail, in row-major
-        order, one string per block of rows of about SWEEP_BLOCK_ENTRIES entries."""
-        vertex, colour = _digits(self.n), _digits(self.m + 1)
-        for u, v in _upper_pairs(self.n, SWEEP_BLOCK_ENTRIES):
-            yield _render(
-                head, (vertex, u), sep, (vertex, v), colour_sep, (colour, self.colours[u, v]), tail
-            )
+        order, one string per block of rows of about SWEEP_BLOCK_ENTRIES entries.
+        Each line joins three records: head u and sep v colour_sep, both from
+        a table over the vertices, and c tail from a table over the colours."""
+        n, vertex = self.n, (_digits(self.n), np.arange(self.n))
+        firsts, seconds = _join(head, vertex), _join(sep, vertex, colour_sep)
+        colours = _join((_digits(self.m + 1), np.arange(self.m + 1)), tail)
+        line = [("u", firsts.dtype), ("v", seconds.dtype), ("c", colours.dtype)]
+        rows = max(1, min(n - 1, SWEEP_BLOCK_ENTRIES // (n + 1)))
+        for start in range(0, n - 1, rows):  # every block holds a pair (start, n - 1)
+            us = np.arange(start, min(start + rows, n))
+            later = np.arange(n) > us[:, None]
+            records = np.empty(np.count_nonzero(later), dtype=line)
+            records["u"] = np.repeat(firsts[us], n - 1 - us)
+            records["v"] = np.broadcast_to(seconds, later.shape)[later]
+            records["c"] = colours[self.colours[start : start + rows][later]]
+            yield _text(records)
 
     def to_json(self) -> str:
         return "".join(self.json_chunks()) + "\n"
@@ -178,10 +198,10 @@ def _digits(count: int) -> np.ndarray:
     return np.arange(count).astype(f"S{len(str(max(count - 1, 0)))}")
 
 
-def _render(*parts: bytes | tuple[np.ndarray, np.ndarray]) -> str:
-    """One line per row: each part is bytes, the same on every row, or a
-    (_digits table, values) pair giving one value per row. Each row is one
-    record with a field per part, and the records' NUL padding is stripped."""
+def _join(*parts: bytes | tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """One bytes record per row: each part is bytes, the same on every row,
+    or a (_digits table, values) pair giving one value per row. Each record
+    holds its parts side by side, NUL padding included, which _text strips."""
     if any(isinstance(part, bytes) and b"\0" in part for part in parts):
         raise ValueError("a literal holds a NUL byte, which the renderer strips as padding")
     columns = [np.array(part) if isinstance(part, bytes) else part[0][part[1]] for part in parts]
@@ -189,7 +209,17 @@ def _render(*parts: bytes | tuple[np.ndarray, np.ndarray]) -> str:
     records = np.empty(rows, dtype=[(f"f{i}", column.dtype) for i, column in enumerate(columns)])
     for i, column in enumerate(columns):
         records[f"f{i}"] = column
+    return records.view(f"S{records.itemsize}")
+
+
+def _text(records: np.ndarray) -> str:
+    """The records' bytes in order, NUL padding stripped."""
     return records.tobytes().replace(b"\0", b"").decode("ascii")
+
+
+def _render(*parts: bytes | tuple[np.ndarray, np.ndarray]) -> str:
+    """One line per row, parts as for _join, NUL padding stripped."""
+    return _text(_join(*parts))
 
 
 def load_json(text: str) -> object:
@@ -213,7 +243,7 @@ def graph_from_edges(m: int, n: int, entries: Iterable[Sequence[int]]) -> Colour
     if len(entries) != expected:
         raise ValueError(f"expected {expected} pairs, got {len(entries)}")
     check_vertex_count(n)
-    C = np.zeros((n, n), dtype=np.int32)
+    C = np.zeros((n, n), dtype=np.uint8)
     seen: set[tuple[int, int]] = set()
     for entry in entries:
         triple = isinstance(entry, (list, tuple)) and len(entry) == 3
@@ -229,6 +259,7 @@ def graph_from_edges(m: int, n: int, entries: Iterable[Sequence[int]]) -> Colour
             raise ValueError(f"colour {c} out of range 1..{m}")
         seen.add(key)
         C[u, v] = C[v, u] = c
+    C.flags.writeable = False  # handed over: ColouredGraph keeps it without a copy
     return ColouredGraph(m=m, n=n, colours=C)
 
 
@@ -252,16 +283,17 @@ def random_graph(n: int, m: int, seed: int) -> ColouredGraph:
     # returns w such words, the first as the least significant.
     rng = random.Random(f"random-graph:{seed}")
     bits = m.bit_length()
-    C = np.zeros((n, n), dtype=np.int32)
-    drawn = np.zeros(0, dtype=np.int32)  # accepted values not yet placed
+    C = np.zeros((n, n), dtype=np.uint8)
+    drawn = np.zeros(0, dtype=np.uint8)  # accepted values not yet placed
     for u, v in _upper_pairs(n, ROW_BLOCK_ENTRIES):
         while len(drawn) < len(u):
             words = ((len(u) - len(drawn)) << bits) // m + 1  # about enough, on average
             raw = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), "<u4")
-            values = (raw >> (32 - bits)).astype(np.int32)
+            values = (raw >> (32 - bits)).astype(np.uint8)  # below 2^bits <= 256
             drawn = np.concatenate([drawn, values[values < m]])
         C[u, v] = C[v, u] = drawn[: len(u)] + 1
         drawn = drawn[len(u) :]
+    C.flags.writeable = False
     return ColouredGraph(m=m, n=n, colours=C)
 
 
@@ -275,9 +307,14 @@ def recolour(G: ColouredGraph, pi: Perm) -> ColouredGraph:
 def colour_lookup(perms: Perm | Sequence[Perm]) -> np.ndarray:
     """Colour permutations as lookup tables indexed by colour: [..., c] is
     the image of c, and column 0 maps the diagonal's 0 to itself. Takes one
-    permutation or a sequence of them."""
-    table = np.asarray(perms, dtype=np.int32)
-    return np.pad(table, [(0, 0)] * (table.ndim - 1) + [(1, 0)])
+    permutation or a sequence of them, of degree at most MAX_PALETTE, so
+    the tables are uint8 like the colour matrices."""
+    table = np.asarray(perms, dtype=np.int64)
+    if table.shape[-1] > MAX_PALETTE:
+        raise ValueError(
+            f"colour permutations of degree {table.shape[-1]} exceed the limit of {MAX_PALETTE}"
+        )
+    return np.pad(table.astype(np.uint8), [(0, 0)] * (table.ndim - 1) + [(1, 0)])
 
 
 def is_colour_consistent(G: ColouredGraph, s: Perm, pi: Perm) -> bool:
@@ -353,7 +390,8 @@ def missing_queries(G: ColouredGraph, k: int) -> list[Query]:
         while chunk := list(itertools.islice(tuples, max(1, SWEEP_BLOCK_ENTRIES // (n + 1)))):
             U = np.array(chunk, dtype=np.intp).reshape(len(chunk), size)
             seen = np.zeros(len(chunk) * codes + 1, dtype=bool)  # the last slot is a sink
-            code = (G.colours[:, U] - 1) @ place + np.arange(len(chunk), dtype=np.int32) * codes
+            digits = G.colours[:, U].astype(np.int32) - 1  # uint8 would wrap the diagonal to 255
+            code = digits @ place + np.arange(len(chunk), dtype=np.int32) * codes
             code[U, np.arange(len(chunk))[:, None]] = len(chunk) * codes  # w inside U
             seen[code] = True
             hole = np.flatnonzero(~seen[:-1])

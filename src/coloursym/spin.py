@@ -298,7 +298,10 @@ def enumerate_cover(m: int, kind: CoverKind) -> SpinCover:
     the elements in discovery order (identity first; each element's products
     in generator order) and build the full multiplication table. The
     closure must have exactly 2 * m! elements, and FiniteGroup proves the
-    table a group.
+    table a group. It is proposed the generators t_1 and t_1 t_2 ... t_(m-1)
+    (t_i the lift of (i i+1)), the lifts of (1 2) and an m-cycle: for m >= 4
+    they generate the cover, since a subgroup mapping onto Sym(m) without -1
+    would split it and neither cover splits (Schur 1911).
 
     It runs one breadth-first layer at a time on integer blade rows in
     PinElement's normal form, keyed by (k, row bytes): x * e_i holds
@@ -350,10 +353,15 @@ def enumerate_cover(m: int, kind: CoverKind) -> SpinCover:
         raise RuntimeError(f"closure size {size} != 2 * {m}! = {target}")
     table = np.concatenate(blocks)
     table.flags.writeable = False
+    coxeter = 0  # t_1 t_2 ... t_(m-1), one right product at a time
+    for gi in range(m - 1):
+        coxeter = right[gi][coxeter]
     return SpinCover(
         kind=kind,
         m=m,
-        group=FiniteGroup(mul=cayley_table(right, steps), phi=tuple(phi)),
+        group=FiniteGroup(
+            mul=cayley_table(right, steps), phi=tuple(phi), proposed=(right[0][0], coxeter)
+        ),
         exponents=tuple(exponents),
         rows=table,
         neg_unit_label=right[-1][0],  # 1 * (-1)

@@ -181,7 +181,7 @@ def test_seeded_out_files_keep_their_bytes(tmp_path, capsys, argv, digest):
         (["supplement", "--m", "6", "--cover", "tilde"], None, 1,
          "052ab0632cbc3f71fa121ac384b7216d5abd491c3c69609443123190bcb81c1f", None),
         (["supplement", "--m", "5", "--cover", "hat", "--orbits", "2", "--out", "out.json"], None, 0,
-         "cafbc42b948dc9370d5335543bedd7e8fcb1e15aed7c2f1b3ad58993a45d95de",
+         "c300d21e7d93ca672d9dab58c76c5b5cdf076acdde27b377ef10059c80526e35",
          "8ece3e55ead53ef2779d635e3e0e3027fa64fb9b244e3498a3c0472e662b003d"),
         (["complement", "--m", "4"], None, 0,
          "c5d7a1c83137447f6a988ea9ae5ef07383766506954eee83e20149d891bfa97e", None),
@@ -225,7 +225,7 @@ def test_readme_cli_examples_run_as_documented(tmp_path, capsys, monkeypatch):
     for line in lines:
         command, _, comment = line.partition("#")
         if "complement --m 7" in command:
-            continue  # about 9 s
+            continue  # about 3 s and 250 MB
         code, _, err = run(capsys, *shlex.split(command)[1:])
         assert (code, err) == ((1 if "fails" in comment else 0), ""), line
 
@@ -509,6 +509,76 @@ def test_out_is_refused_where_no_graph_is_built(tmp_path, capsys, monkeypatch, a
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "--out" in err
     assert list(tmp_path.iterdir()) == []
+
+
+# Every subcommand branch, and for each optional flag a value other than its
+# default with the sign in the report (or the files) that the branch read it.
+BRANCHES = {
+    "gen-random": ["gen-random", "--n", "4", "--m", "3", "--out", "g.json"],
+    "complement-odd": ["complement", "--m", "3"],
+    "complement-even": ["complement", "--m", "4"],
+    "supplement-enumerated": ["supplement", "--m", "3", "--cover", "tilde"],
+    "supplement-odd-above": ["supplement", "--m", "7", "--cover", "hat"],
+    "supplement-even-above": ["supplement", "--m", "10", "--cover", "tilde"],
+    "cover-table-exhaustive": ["cover-table", "--m", "4", "--cover", "hat"],
+    "cover-table-direct": ["cover-table", "--m", "8", "--cover", "hat"],
+    "saturate": ["saturate", "--in", "in.json", "--k", "1", "--out", "s.json"],
+    "obstruction": ["obstruction", "--in", "in.json"],
+    "coset-bound": ["coset-bound"],
+}
+FLAG_VALUES = {
+    "--seed": (["--seed", "31"], lambda doc: doc["seed"] == 31),
+    "--orbits": (["--orbits", "3"], lambda doc: doc["params"]["orbits"] == 3),
+    "--out": (["--out", "o.json"], lambda doc: Path("o.json").exists()),
+    "--dot": (["--dot", "g.dot"], lambda doc: Path("g.dot").exists()),
+    "--direct": (["--direct"], lambda doc: doc["params"]["mode"] == "direct"),
+    "--rounds": (["--rounds", "3"], lambda doc: doc["params"]["rounds"] == 3),
+    "--m": (["--m", "3", "--k", "2"], lambda doc: doc["params"] == {"m": 3, "k": 2}),
+    "--k": (["--k", "2", "--m", "3"], lambda doc: doc["params"] == {"m": 3, "k": 2}),
+}
+UNREAD = {("complement-even", flag) for flag in ("--orbits", "--out")} | {
+    (branch, flag)
+    for branch in ("supplement-odd-above", "supplement-even-above")
+    for flag in ("--orbits", "--seed", "--out")
+}
+
+
+def optional_flags(command):
+    subparsers = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    return [
+        action.option_strings[0]
+        for action in subparsers.choices[command]._actions
+        if action.option_strings and not action.required and action.dest not in ("help", "json")
+    ]
+
+
+def test_every_subcommand_has_a_branch_here():
+    subparsers = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    assert set(subparsers.choices) == {argv[0] for argv in BRANCHES.values()}
+
+
+@pytest.mark.parametrize(
+    "branch, flag",
+    [(branch, flag) for branch, argv in BRANCHES.items() for flag in optional_flags(argv[0])],
+)
+def test_each_branch_reads_or_refuses_each_optional_flag(tmp_path, capsys, monkeypatch, branch, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_text(random_graph(3, 2, 1).to_json())
+    extra, honoured = FLAG_VALUES[flag]
+    if (branch, flag) in UNREAD:
+        def never(*args, **kwargs):
+            raise AssertionError(f"work ran before {flag} was refused")
+
+        for work in ("lift_orders", "symmetric_group", "enumerate_cover"):
+            monkeypatch.setattr(cli, work, never)
+        code, out, err = run(capsys, *BRANCHES[branch], *extra, "--json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+        assert not Path("o.json").exists()
+    else:
+        code, out, err = run(capsys, *BRANCHES[branch], *extra, "--json")
+        assert code in (0, 1) and err == ""
+        assert honoured(json.loads(out))
 
 
 def test_output_checks_leave_files_as_they_were(tmp_path, capsys):

@@ -40,6 +40,7 @@ from coloursym.graphs import (
 from coloursym.perms import (
     apply,
     compose,
+    cycles,
     enumerate_sym,
     fixed_points,
     identity,
@@ -166,7 +167,9 @@ def test_constructor_rejects_a_phi_that_is_not_a_homomorphism():
 def test_finite_group_derives_size_m_inverses_and_generators():
     G = sym_group(3)
     assert (G.size, G.m) == (6, 3)
-    assert G.gens == generators(G.mul) == (1, 2)
+    # labels 2 and 3 are (1 2) and (1 2 3); the greedy rule alone picks 1 and 2
+    assert G.gens == G.proposed == generators(G.mul, G.proposed) == (2, 3)
+    assert generators(G.mul) == (1, 2)
     for g in range(6):
         assert G.product(g, G.inverse_of(g)) == G.product(G.inverse_of(g), g) == 0
         assert G.phi[G.inverse_of(g)] == inverse(G.phi[g])
@@ -430,7 +433,7 @@ def test_verify_colour_group_trivial_group():
 def test_verify_colour_group_checks_the_generators():
     spec = make_sym3_spec(2)
     report = verify_colour_group(spec)
-    assert report.checked == spec.group.gens == (1, 2)
+    assert report.checked == spec.group.gens == (2, 3)  # (1 2) and (1 2 3)
     assert report.argument == "generators + homomorphism"
     assert report.passed
     assert report.graph == assemble_orbit_graph(spec)
@@ -457,13 +460,56 @@ def closure(G, gens):
 def test_generators_are_greedy_and_generate(m):
     groups = [sym_group(m)] + [enumerate_cover(m, k).group for k in CoverKind]
     for G in groups:
-        gens = generators(G.mul)
+        gens = generators(G.mul, G.proposed)
         assert gens == G.gens
         assert closure(G, gens) == set(range(G.size))
+        pending = list(G.proposed)
         for i, a in enumerate(gens):
             below = closure(G, gens[:i])
-            assert a == min(set(range(G.size)) - below)
+            pending = [g for g in pending if g not in below]
+            # the next proposed label outside the subgroup, else the smallest
+            assert a == (pending.pop(0) if pending else min(set(range(G.size)) - below))
         assert 2 ** len(gens) <= G.size
+
+
+def test_two_proposed_generators_generate_each_cover_and_sym():
+    # Sym(m) is generated by (1 2) and (1 2 ... m); for m >= 4 their lifts
+    # generate either double cover, because neither cover splits
+    cycle_of = {m: {p for p in enumerate_sym(m) if len(cycles(p)) == 1} for m in range(4, 8)}
+    groups = [(m, enumerate_cover(m, kind).group) for m in (4, 5, 6) for kind in CoverKind]
+    groups += [(m, symmetric_group(m)) for m in (4, 5, 6, 7)]
+    for m, G in groups:
+        assert G.gens == G.proposed and len(G.gens) == 2, (m, G)
+        swap, rotation = (G.phi[g] for g in G.gens)
+        assert swap == transposition(m, 1, 2) and rotation in cycle_of[m]
+        assert len(closure(G, G.gens)) == G.size
+
+
+def test_short_or_missing_proposals_are_completed_greedily():
+    def greedy_after(G, proposed):
+        gens = generators(G.mul, proposed)
+        assert closure(G, gens) == set(range(G.size))
+        return gens
+
+    # the m <= 3 covers: the two lifts fall short for m = 2 hat and m = 3 hat
+    for m in (2, 3):
+        for kind in CoverKind:
+            G = enumerate_cover(m, kind).group
+            assert G.gens == greedy_after(G, G.proposed)
+    assert enumerate_cover(2, CoverKind.HAT).group.gens == (1, 2)
+    assert enumerate_cover(3, CoverKind.HAT).group.gens == (1, 4, 3)
+    # a group read from JSON proposes nothing and keeps the greedy set
+    S4 = sym_group(4)
+    H = FiniteGroup.from_json_dict(S4.to_json_dict())
+    assert H.proposed == () and H.gens == generators(S4.mul) == (1, 2, 6)
+    # one proposed label, and one that is already reached, are completed greedily
+    swap = S4.phi.index(transposition(4, 1, 2))
+    assert FiniteGroup(S4.mul, S4.phi, proposed=(swap,)).gens == greedy_after(S4, (swap,))
+    assert greedy_after(S4, (swap,))[0] == swap
+    assert greedy_after(S4, (0, swap, swap)) == greedy_after(S4, (swap,))
+    for bad in ((24,), (-1,), (1.0,), (True,)):
+        with pytest.raises(ValueError, match="proposed"):
+            FiniteGroup(S4.mul, S4.phi, proposed=bad)
 
 
 def test_trivial_group_has_no_generators():
@@ -508,7 +554,7 @@ def test_generator_verdict_agrees_with_oracle_on_m6_hat_cover():
     cover = enumerate_cover(6, CoverKind.HAT)
     spec = make_orbit_spec(cover.group, build_pair_colouring(cover.group, 0), 1, 0)
     report = verify_colour_group(spec)
-    assert report.all_consistent and len(report.checked) == 5
+    assert report.all_consistent and len(report.checked) == 2
     assert inconsistent_elements(spec) == ()
 
 

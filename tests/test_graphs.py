@@ -288,6 +288,17 @@ def test_missing_queries_agrees_with_find_witness_in_order():
                 assert missing_queries(G, k) == oracle_missing(G, k), (n, m, seed, k)
 
 
+def test_missing_queries_reads_uint8_colours_without_wrapping():
+    # uint8 colours minus 1 would wrap the zero diagonal to 255; the sweep
+    # reads them as int32 and agrees with find_witness at both palette ends
+    top = graphs.MAX_PALETTE
+    cases = [(random_graph(6, 2, 7), 3), (random_graph(5, top, 7), 1), (random_graph(2, top, 7), 2)]
+    cases.append((graph_from_edges(top, 3, [[0, 1, top], [0, 2, 1], [1, 2, top]]), 1))
+    for G, k in cases:
+        assert G.colours.dtype == np.uint8
+        assert missing_queries(G, k) == oracle_missing(G, k), (G, k)
+
+
 def test_missing_queries_counts_the_sweep_before_any_work(monkeypatch):
     G = random_graph(3, 3, 0)  # 1 + 3*3 + 3*9 = 37 queries of size <= 2
     monkeypatch.setattr(graphs, "MAX_SWEEP_QUERIES", 64)
@@ -699,7 +710,7 @@ def test_graph_constructor_validation():
     for off in (0, -1):
         with pytest.raises(ValueError):
             ColouredGraph(m=2, n=2, colours=np.array([[0, off], [off, 0]], dtype=np.int32))
-    # the range is checked before colours narrow to int32: 2^32 + 1 would wrap to 1
+    # the range is checked before colours narrow to uint8: 2^32 + 1 would wrap to 1
     for dtype in (np.int64, np.uint64):
         with pytest.raises(ValueError, match="1..2"):
             ColouredGraph(m=2, n=2, colours=np.array([[0, 2**32 + 1], [2**32 + 1, 0]], dtype=dtype))
@@ -710,5 +721,46 @@ def test_graph_constructor_validation():
         with pytest.raises(ValueError, match="palette size"):
             ColouredGraph(m=m, n=0, colours=np.zeros((0, 0), dtype=np.int32))
     G = ColouredGraph(m=2, n=2, colours=np.array([[0, 2], [2, 0]], dtype=np.uint64))
-    assert G.colours.dtype == np.int32 and G.colour_of(0, 1) == 2
+    assert G.colours.dtype == np.uint8 and G.colour_of(0, 1) == 2
     assert ColouredGraph(m=graphs.MAX_PALETTE, n=0, colours=np.zeros((0, 0), dtype=np.int8)).n == 0
+
+
+def test_colours_are_checked_before_they_narrow_to_uint8():
+    # 256 would wrap to 0 and 2^32 + 1 to 1; either must be refused, never stored
+    top = graphs.MAX_PALETTE
+    for bad in (256, 2**32 + 1):
+        C = np.array([[0, bad, 1], [bad, 0, 1], [1, 1, 0]], dtype=np.int64)
+        kept = C.copy()
+        with pytest.raises(ValueError, match=f"colours must lie in 1..{top}"):
+            ColouredGraph(m=top, n=3, colours=C)
+        assert np.array_equal(C, kept) and C.dtype == np.int64 and C.flags.writeable
+    C = np.array([[0, top], [top, 0]], dtype=np.int64)
+    G = ColouredGraph(m=top, n=2, colours=C)
+    assert G.colours.dtype == np.uint8 and G.colour_of(0, 1) == top
+    assert C.dtype == np.int64 and C.flags.writeable and not G.colours.flags.writeable
+    # a writable uint8 matrix is copied, so writing it later leaves the graph alone
+    D = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    H = ColouredGraph(m=2, n=2, colours=D)
+    D[0, 1] = D[1, 0] = 2
+    assert D.flags.writeable and H.colour_of(0, 1) == 1
+
+
+def test_symmetry_is_checked_tile_by_tile(monkeypatch):
+    monkeypatch.setattr(graphs, "ROW_BLOCK_ENTRIES", 9)  # 3 x 3 tiles of a 7 x 7 matrix
+    G = random_graph(7, 3, 4)
+    for u, v in [(0, 1), (1, 5), (6, 2), (3, 6)]:
+        C = np.array(G.colours)
+        C[u, v] = C[u, v] % 3 + 1
+        with pytest.raises(ValueError, match="symmetric"):
+            ColouredGraph(m=3, n=7, colours=C)
+    assert ColouredGraph(m=3, n=7, colours=np.array(G.colours)) == G
+
+
+def test_every_builder_returns_uint8_colours():
+    from coloursym.equivariant import assemble_orbit_graph, sym_complement
+
+    G = graph_from_edges(3, 3, [[0, 1, 2], [0, 2, 1], [1, 2, 3]])
+    spec, report = sym_complement(3, 2, 0)
+    built = [G, random_graph(6, 4, 2), recolour(G, (2, 3, 1)), saturate(G, 1, 0)[0]]
+    for H in built + [assemble_orbit_graph(spec), report.graph]:
+        assert H.colours.dtype == np.uint8 and not H.colours.flags.writeable
