@@ -92,7 +92,7 @@ class FiniteGroup:
         size = len(mul)
         if mul.dtype.kind not in "iu" or mul.min() < 0 or mul.max() >= size:
             raise ValueError("table entries must be element labels")
-        mul = mul.astype(np.int32)
+        mul = mul.astype(np.int32, order="C")  # one copy, row-major whatever the input
         labels = np.arange(size)
         if not np.array_equal(mul[0], labels) or not np.array_equal(mul[:, 0], labels):
             raise ValueError("label 0 must be the identity")
@@ -179,14 +179,15 @@ def cayley_table(
     """Group table from generator columns, right[g][x] = x*g. Each step
     (y, p, g) says y = p*g with p = 0 or filled by an earlier step; one step
     per nonidentity label. Column y is right[g] read at column p, since
-    x*y = (x*p)*g."""
+    x*y = (x*p)*g. The columns are filled as rows of the transpose, which
+    is returned as a view."""
     size = len(steps) + 1
     columns = [np.asarray(col, dtype=np.int32) for col in right]
-    mul = np.empty((size, size), dtype=np.int32)
-    mul[:, 0] = np.arange(size)
+    t = np.empty((size, size), dtype=np.int32)  # t[y] is column y of the table
+    t[0] = np.arange(size)
     for y, p, g in steps:
-        mul[:, y] = columns[g][mul[:, p]]
-    return mul
+        t[y] = columns[g][t[p]]
+    return t.T
 
 
 def group_from_perms(perms: Iterable[Perm]) -> FiniteGroup:

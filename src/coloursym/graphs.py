@@ -372,11 +372,13 @@ def find_witness(G: ColouredGraph, q: Query) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
-def missing_queries(G: ColouredGraph, k: int) -> list[Query]:
-    """The queries of at most k vertices that have no witness, in
-    witness_queries order. Every vertex w outside a tuple U reads
-    its colours C[w, U] as a base-m code, so the queries on U that miss are
-    the codes that no outside vertex has; ascending code is product order."""
+def missing_queries(G: ColouredGraph, k: int, *, since: int = 0) -> list[Query]:
+    """The queries of at most k vertices that have no witness and whose
+    largest vertex is at least `since`, in witness_queries order; the empty
+    query counts only when since is 0. Every vertex w outside a tuple U
+    reads its colours C[w, U] as a base-m code, so the queries on U that
+    miss are the codes that no outside vertex has; ascending code is
+    product order. The limit counts every query, whatever `since` is."""
     n, m, sizes = G.n, G.m, range(min(k, G.n) + 1)
     totals = itertools.accumulate(math.comb(n, s) * m**s for s in sizes)  # lazy: stops early
     if any(total > MAX_SWEEP_QUERIES for total in totals):
@@ -386,7 +388,7 @@ def missing_queries(G: ColouredGraph, k: int) -> list[Query]:
     for size in sizes:
         codes = m**size
         place = m ** np.arange(size - 1, -1, -1, dtype=np.int32)  # first vertex, top digit
-        tuples = itertools.combinations(range(n), size)
+        tuples = _tuples_since(n, size, since)
         while chunk := list(itertools.islice(tuples, max(1, SWEEP_BLOCK_ENTRIES // (n + 1)))):
             U = np.array(chunk, dtype=np.intp).reshape(len(chunk), size)
             seen = np.zeros(len(chunk) * codes + 1, dtype=bool)  # the last slot is a sink
@@ -398,6 +400,19 @@ def missing_queries(G: ColouredGraph, k: int) -> list[Query]:
             colours = hole[:, None] // place % m + 1
             missing += zip(map(tuple, U[hole // codes].tolist()), map(tuple, colours.tolist()))
     return missing
+
+
+def _tuples_since(n: int, size: int, since: int) -> Iterator[tuple[int, ...]]:
+    """The tuples of itertools.combinations(range(n), size) whose last
+    vertex is at least `since`, in that order, drawn without the rest:
+    each head of size - 1 vertices, then every last vertex after it."""
+    if size == 0:
+        if since == 0:
+            yield ()
+        return
+    for head in itertools.combinations(range(n - 1), size - 1):
+        for last in range(max(head[-1] + 1, since) if head else since, n):
+            yield head + (last,)
 
 
 def saturate(
@@ -412,14 +427,20 @@ def saturate(
     adds nothing (achieved=True); after `rounds` sweeps that all added
     vertices, one more sweep decides achieved without adding any.
     Deterministic.
+
+    The first sweep reads every query; each later one reads only the
+    queries on a vertex the sweep before it added. The others already have
+    a witness: that sweep gave one to each query it found missing, and no
+    colour between vertices already there ever changes.
     """
     if k < 1:
         raise ValueError("witness size must be at least 1")
     if rounds < 1:
         raise ValueError("at least one sweep is required")
     rng = random.Random(f"saturate:{seed}")
+    since = 0  # every query on vertices below `since` has a witness
     for sweep in range(rounds + 1):
-        missing = missing_queries(G, k)
+        missing = missing_queries(G, k, since=since)
         if not missing or sweep == rounds:  # the deciding sweep adds nothing
             break
         n = v = G.n  # pad once: a vertex per missing query, within the limit checked below
@@ -429,10 +450,9 @@ def saturate(
                 continue
             check_vertex_count(v + 1)
             forced = dict(zip(verts, colours))
-            for u in range(v):
-                D[u, v] = D[v, u] = forced.get(u) or rng.randrange(G.m) + 1
+            D[v, :v] = D[:v, v] = [forced.get(u) or rng.randrange(G.m) + 1 for u in range(v)]
             v += 1
-        G = ColouredGraph(m=G.m, n=v, colours=D[:v, :v])
+        G, since = ColouredGraph(m=G.m, n=v, colours=D[:v, :v]), n
     return G, not missing
 
 

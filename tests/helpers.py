@@ -16,11 +16,14 @@ from coloursym.equivariant import (
     group_from_perms,
 )
 from coloursym.graphs import (
+    MAX_VERTICES,
     ColouredGraph,
     PartialIso,
+    check_vertex_count,
     extend_iso,
     graph_from_edges,
     is_colour_consistent,
+    missing_queries,
 )
 from coloursym.perms import compose, enumerate_sym
 
@@ -48,6 +51,30 @@ def random_graph_by_pairs(n: int, m: int, seed: int) -> ColouredGraph:
         for v in range(u + 1, n):
             C[u, v] = C[v, u] = rng.randrange(m) + 1
     return ColouredGraph(m=m, n=n, colours=C)
+
+
+def saturate_by_full_sweeps(
+    G: ColouredGraph, k: int, seed: int, rounds: int = 8
+) -> tuple[ColouredGraph, bool]:
+    """saturate with every sweep reading every query, and each new vertex's
+    colours written one pair at a time."""
+    rng = random.Random(f"saturate:{seed}")
+    for sweep in range(rounds + 1):
+        missing = missing_queries(G, k)
+        if not missing or sweep == rounds:
+            break
+        n = v = G.n
+        D = np.pad(G.colours, (0, min(len(missing), max(1, MAX_VERTICES - n))))
+        for verts, colours in missing:
+            if np.all(D[n:v, list(verts)] == colours, axis=1).any():
+                continue
+            check_vertex_count(v + 1)
+            forced = dict(zip(verts, colours))
+            for u in range(v):
+                D[u, v] = D[v, u] = forced.get(u) or rng.randrange(G.m) + 1
+            v += 1
+        G = ColouredGraph(m=G.m, n=v, colours=D[:v, :v])
+    return G, not missing
 
 
 def dot_by_pairs(G: ColouredGraph) -> str:

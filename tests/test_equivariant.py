@@ -177,6 +177,16 @@ def test_finite_group_derives_size_m_inverses_and_generators():
     assert not G.mul.flags.writeable and not G.inv.flags.writeable
 
 
+def test_finite_group_tables_are_row_major():
+    # cayley_table hands over the transpose of the table it fills row by
+    # row; FiniteGroup's one copy of mul is C-contiguous whatever it is given
+    assert cayley_table([[1, 2, 0]], [(1, 0, 0), (2, 1, 0)]).flags.f_contiguous
+    tables = [sym_group(4), symmetric_group(5), enumerate_cover(4, CoverKind.HAT).group]
+    tables.append(FiniteGroup(np.asfortranarray(sym_group(3).mul), sym_group(3).phi))
+    for G in tables:
+        assert G.mul.flags.c_contiguous and G.mul.dtype == np.int32
+
+
 def test_finite_group_constructor_validation():
     G = sym_group(3)
     rolled = np.roll(np.array(G.mul), 1, axis=0)  # row 0 is no longer the identity

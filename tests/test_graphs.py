@@ -38,7 +38,13 @@ from coloursym.perms import (
     transposition,
 )
 
-from helpers import all_two_colourings, bad_queries, dot_by_pairs, random_graph_by_pairs
+from helpers import (
+    all_two_colourings,
+    bad_queries,
+    dot_by_pairs,
+    random_graph_by_pairs,
+    saturate_by_full_sweeps,
+)
 
 
 def single_edge(c: int, m: int = 2) -> ColouredGraph:
@@ -312,6 +318,25 @@ def test_missing_queries_counts_the_sweep_before_any_work(monkeypatch):
         missing_queries(G, 2)
 
 
+def test_missing_queries_since_keeps_the_queries_on_a_later_vertex():
+    # the full list filtered to queries whose largest vertex is >= since;
+    # the empty query, with no vertex, only at since 0
+    for n, m in itertools.product(range(7), range(1, 5)):
+        G = one_colour(n) if m == 1 else random_graph(n, m, n + m)
+        for k in range(4):
+            full = missing_queries(G, k)
+            for s in range(n + 1):
+                kept = [q for q in full if max(q[0], default=0) >= s]
+                assert missing_queries(G, k, since=s) == kept, (n, m, k, s)
+
+
+def test_missing_queries_since_counts_every_query_against_the_limit(monkeypatch):
+    G = random_graph(3, 3, 0)  # 37 queries of size <= 2, 21 with largest vertex 2
+    monkeypatch.setattr(graphs, "MAX_SWEEP_QUERIES", 36)
+    with pytest.raises(ValueError, match="limit of 36"):
+        missing_queries(G, 2, since=2)
+
+
 # -- saturation ----------------------------------------------------------------
 
 
@@ -394,6 +419,29 @@ def test_saturate_keeps_its_bytes(case, result, digest):
     H, achieved = saturate(random_graph(n, m, s), k, s, rounds=r)
     assert (achieved, H.n) == result
     assert hashlib.sha256(H.to_json().encode()).hexdigest() == digest
+
+
+SATURATE_CASES = [  # (n, m, seed, k, rounds)
+    *itertools.product(range(5), (2, 3), (0, 1), (1, 2), (1, 2, 8)),
+    (0, 2, 4, 3, 8),
+    (2, 3, 0, 3, 1),
+    (3, 2, 3, 3, 2),
+    (3, 3, 1018370994, 2, 8),  # not achieved: the deciding sweep finds queries missing
+    (3, 3, 1018370994, 2, 9),
+]
+
+
+def test_saturate_equals_the_full_sweep_oracle():
+    # later sweeps read only the queries on a vertex the sweep before added;
+    # sweeping every query each time must grow the same graph
+    verdicts = set()
+    for n, m, s, k, r in SATURATE_CASES:
+        G = random_graph(n, m, s)
+        H, achieved = saturate(G, k, s, rounds=r)
+        assert (H, achieved) == saturate_by_full_sweeps(G, k, s, rounds=r), (n, m, s, k, r)
+        assert achieved == (missing_queries(H, k) == []), (n, m, s, k, r)
+        verdicts.add(achieved)
+    assert verdicts == {True, False}
 
 
 def test_saturate_stops_at_the_vertex_limit(monkeypatch):
