@@ -30,11 +30,11 @@ from .equivariant import (
     verify_colour_group,
 )
 from .graphs import (
-    ROW_BLOCK_ENTRIES,
     ColouredGraph,
     check_no_fpf_colour_involution,
     find_witness,  # unused here; perfbench/tracing.py patches cli.find_witness
     random_graph,
+    row_blocks,
     saturate,
 )
 from .perms import cycle_string, double_coset_lower_bound
@@ -104,9 +104,8 @@ def _histogram(G: ColouredGraph) -> list[int]:
     a zero diagonal, so it holds each pair twice and bin 0 holds the diagonal.
     Counted a block of rows at a time, since bincount copies its input to intp."""
     counts = np.zeros(G.m + 1, dtype=np.int64)
-    rows = max(1, ROW_BLOCK_ENTRIES // max(1, G.n))
-    for start in range(0, G.n, rows):
-        counts += np.bincount(G.colours[start : start + rows].ravel(), minlength=G.m + 1)
+    for rows in row_blocks(G.n, G.n):
+        counts += np.bincount(G.colours[rows].ravel(), minlength=G.m + 1)
     return (counts[1:] // 2).tolist()
 
 
@@ -120,12 +119,23 @@ def _write_graph(path: str, graph: ColouredGraph, labels: Optional[list] = None)
 
 
 def _check_writable(*paths: Optional[str]) -> None:
-    """Raise the OSError that writing each given path would raise, before
-    any work; a file that did not exist is removed again."""
-    for path in filter(None, paths):
-        existed = os.path.lexists(path)
-        open(path, "a", encoding="utf-8").close()
-        if not existed:
+    """Raise the OSError that writing each given path would raise, or
+    ValueError if two of them name one file, before any work; a file that
+    did not exist is removed again."""
+    opened: list[str] = []
+    made: list[str] = []
+    try:
+        for path in filter(None, paths):
+            existed = os.path.lexists(path)
+            open(path, "a", encoding="utf-8").close()
+            if not existed:
+                made.append(path)
+            for other in opened:
+                if os.path.samefile(other, path):
+                    raise ValueError(f"output paths {other} and {path} name the same file")
+            opened.append(path)
+    finally:
+        for path in made:
             os.remove(path)
 
 

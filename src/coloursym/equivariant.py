@@ -26,7 +26,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .graphs import (
-    ROW_BLOCK_ENTRIES,
     ColouredGraph,
     Query,
     check_query,
@@ -34,6 +33,7 @@ from .graphs import (
     colour_lookup,
     is_colour_consistent,
     load_json,
+    row_blocks,
 )
 from .perms import (
     Perm,
@@ -281,12 +281,10 @@ def is_associative(mul: np.ndarray, gens: tuple[int, ...]) -> bool:
     The elements a passing it are closed under products, and every label is
     a product of the generators, so this proves the whole table associative.
     Row blocks keep the temporaries far below size^2 entries."""
-    size = len(mul)
-    rows = max(1, ROW_BLOCK_ENTRIES // size)
     for a in gens:
         a_times = mul[a]
-        for start in range(0, size, rows):
-            block = mul[start : start + rows]
+        for rows in row_blocks(len(mul), len(mul)):
+            block = mul[rows]
             if not np.array_equal(mul[block[:, a]], block[:, a_times]):
                 return False
     return True
@@ -500,10 +498,9 @@ def assemble_orbit_graph(spec: OrbitGraphSpec) -> ColouredGraph:
     colourings = [((i, i), spec.colouring.base) for i in range(spec.orbit_count)]
     colourings += sorted(spec.inter.items())
     C = np.empty((spec.vertex_count, spec.vertex_count), dtype=np.uint8)
-    rows = max(1, ROW_BLOCK_ENTRIES // size)
-    for start in range(0, size, rows):
-        quotient = G.mul[start : start + rows][:, G.inv]  # [y, z] = y * z^-1
-        stop = start + len(quotient)
+    for rows in row_blocks(size, size):
+        quotient = G.mul[rows][:, G.inv]  # [y, z] = y * z^-1
+        start, stop = rows.start, rows.stop
         for (i, j), values in colourings:
             block = _orbit_block(G, quotient, values)
             if i != j:

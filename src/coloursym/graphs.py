@@ -44,6 +44,7 @@ ROW_BLOCK_ENTRIES = 1 << 20  # whole-matrix scans work on row blocks or tiles of
 MAX_PALETTE = 255  # colours fit one byte, and reports list every colour
 MAX_VERTICES = 1 << 14  # a 256 MiB uint8 matrix; complement --m 7 needs 10080
 MAX_SWEEP_QUERIES = 10**7  # witness queries per sweep; keeps base-m codes in int32
+MAX_MISSING_QUERIES = 5 * 10**5  # listed per sweep; about 350 bytes each, 175 MB at the limit
 SWEEP_BLOCK_ENTRIES = 1 << 14  # colours a witness sweep or the graph writer reads at once
 
 
@@ -78,17 +79,18 @@ class ColouredGraph:
             raise ValueError(f"colours must be integers, got {C.dtype}")
         if np.diagonal(C).any():
             raise ValueError("diagonal must be zero (no self-pairs)")
-        side = math.isqrt(ROW_BLOCK_ENTRIES)  # square tiles of about ROW_BLOCK_ENTRIES entries
-        for i in range(0, self.n, side):
-            rows = C[i : i + side]
+        # square tiles of about ROW_BLOCK_ENTRIES entries: rows and columns split alike
+        tiles = list(row_blocks(self.n, math.isqrt(ROW_BLOCK_ENTRIES)))
+        for t, rows in enumerate(tiles):
+            block = C[rows]
             # with a zero diagonal, off-diagonal colours lie in 1..m exactly
             # when none is negative, none exceeds m and none is zero
-            if rows.min() < 0 or rows.max() > self.m or (
-                np.count_nonzero(rows) != len(rows) * (self.n - 1)
+            if block.min() < 0 or block.max() > self.m or (
+                np.count_nonzero(block) != len(block) * (self.n - 1)
             ):
                 raise ValueError(f"colours must lie in 1..{self.m}")
-            for j in range(i, self.n, side):  # each tile on or above the diagonal
-                if not np.array_equal(rows[:, j : j + side], C[j : j + side, i : i + side].T):
+            for cols in tiles[t:]:  # each tile on or above the diagonal
+                if not np.array_equal(block[:, cols], C[cols, rows].T):
                     raise ValueError("colour matrix must be symmetric")
         if C.dtype != np.uint8 or C.flags.writeable:
             C = C.astype(np.uint8)  # a copy: the caller's array stays theirs
@@ -132,7 +134,7 @@ class ColouredGraph:
     def dot_chunks(self) -> Iterator[str]:
         """to_dot() in pieces: one line per vertex, then one per pair in blocks of rows."""
         yield "graph coloured {\n"
-        yield _render(b"  ", (_digits(self.n), np.arange(self.n)), b";\n")
+        yield _text(_join(b"  ", (_digits(self.n), np.arange(self.n)), b";\n"))
         yield from self._pair_lines(b"  ", b" -- ", b" [color_index=", b"];\n")
         yield "}\n"
 
@@ -145,14 +147,13 @@ class ColouredGraph:
         firsts, seconds = _join(head, vertex), _join(sep, vertex, colour_sep)
         colours = _join((_digits(self.m + 1), np.arange(self.m + 1)), tail)
         line = [("u", firsts.dtype), ("v", seconds.dtype), ("c", colours.dtype)]
-        rows = max(1, min(n - 1, SWEEP_BLOCK_ENTRIES // (n + 1)))
-        for start in range(0, n - 1, rows):  # every block holds a pair (start, n - 1)
-            us = np.arange(start, min(start + rows, n))
+        for rows in row_blocks(n - 1, n + 1, SWEEP_BLOCK_ENTRIES):  # the rows u that hold a pair
+            us = np.arange(rows.start, rows.stop)
             later = np.arange(n) > us[:, None]
             records = np.empty(np.count_nonzero(later), dtype=line)
             records["u"] = np.repeat(firsts[us], n - 1 - us)
             records["v"] = np.broadcast_to(seconds, later.shape)[later]
-            records["c"] = colours[self.colours[start : start + rows][later]]
+            records["c"] = colours[self.colours[rows][later]]
             yield _text(records)
 
     def to_json(self) -> str:
@@ -183,13 +184,12 @@ class ColouredGraph:
         return "".join(self.dot_chunks())
 
 
-def _upper_pairs(n: int, entries: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The pairs u < v of n vertices in row-major order, as index arrays
-    (u, v) over blocks of rows of about `entries` matrix entries each."""
-    rows = max(1, min(n - 1, entries // (n + 1)))  # no block reaches past the last pair
-    for start in range(0, n - 1, rows):  # so every block holds a pair (start, n - 1)
-        u, v = np.nonzero(np.arange(n) > np.arange(start, start + rows)[:, None])
-        yield u + start, v
+def row_blocks(count: int, width: int, entries: Optional[int] = None) -> Iterator[slice]:
+    """Consecutive slices over rows 0..count-1 of `width` entries each, a
+    block holding about `entries` entries (ROW_BLOCK_ENTRIES, read at call
+    time, when None) and at least one row; the last is clamped to count."""
+    rows = max(1, (ROW_BLOCK_ENTRIES if entries is None else entries) // max(1, width))
+    return (slice(start, min(start + rows, count)) for start in range(0, count, rows))
 
 
 def _digits(count: int) -> np.ndarray:
@@ -215,11 +215,6 @@ def _join(*parts: bytes | tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 def _text(records: np.ndarray) -> str:
     """The records' bytes in order, NUL padding stripped."""
     return records.tobytes().replace(b"\0", b"").decode("ascii")
-
-
-def _render(*parts: bytes | tuple[np.ndarray, np.ndarray]) -> str:
-    """One line per row, parts as for _join, NUL padding stripped."""
-    return _text(_join(*parts))
 
 
 def load_json(text: str) -> object:
@@ -285,7 +280,9 @@ def random_graph(n: int, m: int, seed: int) -> ColouredGraph:
     bits = m.bit_length()
     C = np.zeros((n, n), dtype=np.uint8)
     drawn = np.zeros(0, dtype=np.uint8)  # accepted values not yet placed
-    for u, v in _upper_pairs(n, ROW_BLOCK_ENTRIES):
+    for rows in row_blocks(n - 1, n + 1):  # the rows u that hold a pair u < v, in order
+        u, v = np.nonzero(np.arange(n) > np.arange(rows.start, rows.stop)[:, None])
+        u += rows.start
         while len(drawn) < len(u):
             words = ((len(u) - len(drawn)) << bits) // m + 1  # about enough, on average
             raw = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), "<u4")
@@ -324,15 +321,11 @@ def is_colour_consistent(G: ColouredGraph, s: Perm, pi: Perm) -> bool:
         raise ValueError(f"vertex permutation degree {len(s)} != vertex count {G.n}")
     if len(pi) != G.m:
         raise ValueError(f"colour permutation degree {len(pi)} != palette {G.m}")
-    if G.n == 0:
-        return True
     sv = np.asarray(s, dtype=np.int64) - 1  # 0-based vertex images
     table = colour_lookup(pi)
     C = G.colours
-    rows = max(1, ROW_BLOCK_ENTRIES // G.n)
     return all(
-        np.array_equal(C[sv[start : start + rows]][:, sv], table[C[start : start + rows]])
-        for start in range(0, G.n, rows)
+        np.array_equal(C[sv[rows]][:, sv], table[C[rows]]) for rows in row_blocks(G.n, G.n)
     )
 
 
@@ -378,7 +371,8 @@ def missing_queries(G: ColouredGraph, k: int, *, since: int = 0) -> list[Query]:
     query counts only when since is 0. Every vertex w outside a tuple U
     reads its colours C[w, U] as a base-m code, so the queries on U that
     miss are the codes that no outside vertex has; ascending code is
-    product order. The limit counts every query, whatever `since` is."""
+    product order. MAX_SWEEP_QUERIES counts every query, whatever `since`
+    is, before any is read; MAX_MISSING_QUERIES bounds the list."""
     n, m, sizes = G.n, G.m, range(min(k, G.n) + 1)
     totals = itertools.accumulate(math.comb(n, s) * m**s for s in sizes)  # lazy: stops early
     if any(total > MAX_SWEEP_QUERIES for total in totals):
@@ -397,6 +391,9 @@ def missing_queries(G: ColouredGraph, k: int, *, since: int = 0) -> list[Query]:
             code[U, np.arange(len(chunk))[:, None]] = len(chunk) * codes  # w inside U
             seen[code] = True
             hole = np.flatnonzero(~seen[:-1])
+            if len(missing) + len(hole) > MAX_MISSING_QUERIES:
+                raise ValueError(f"queries of size <= {k} over {n} vertices and {m} colours without "
+                                 f"a witness exceed the limit of {MAX_MISSING_QUERIES} per sweep")
             colours = hole[:, None] // place % m + 1
             missing += zip(map(tuple, U[hole // codes].tolist()), map(tuple, colours.tolist()))
     return missing
@@ -585,9 +582,11 @@ class ObstructionReport:
 
 def check_no_fpf_colour_involution(G: ColouredGraph) -> ObstructionReport:
     """Exhaust all vertex permutations containing a 2-cycle against all
-    fixed-point-free involutions of the colours; every pair must fail
-    is_colour_consistent, and each failure is cited with a 2-cycle whose
-    edge colour the colour involution moves."""
+    fixed-point-free involutions of the colours, refuting each pair by one
+    certificate: s maps the edge {u, v} of its first 2-cycle to itself, so
+    a colour-consistent pi would fix that edge's colour c, and pi fixes no
+    colour. Each pair is cited with that edge, c and pi(c) != c; a listed
+    pi fixing c would be a fault of this program, and raises RuntimeError."""
     if G.m % 2 != 0:
         raise ValueError("the obstruction concerns even palette sizes only")
     if G.n > OBSTRUCTION_GUARD:
@@ -600,29 +599,22 @@ def check_no_fpf_colour_involution(G: ColouredGraph) -> ObstructionReport:
     vertex_perms: list[Perm] = []
     if G.n >= 2:
         vertex_perms = [s for s in enumerate_sym(G.n) if 2 in cycle_type(s)]
-    consistent: list[tuple[Perm, Perm]] = []
     citations: list[ObstructionCitation] = []
     for s in vertex_perms:
-        two_cycles = [c for c in cycles(s) if len(c) == 2]
+        a, b = next(c for c in cycles(s) if len(c) == 2)
+        edge = (a - 1, b - 1)
+        c = int(G.colours[edge])
         for pi in fpf_involutions:
-            if is_colour_consistent(G, s, pi):
-                consistent.append((s, pi))
-                continue
-            for a, b in two_cycles:
-                u, v = a - 1, b - 1
-                c = int(G.colours[u, v])
-                image = apply(pi, c)
-                if image != c:
-                    citations.append(
-                        ObstructionCitation(s, pi, (u, v), c, image)
-                    )
-                    break
+            image = apply(pi, c)
+            if image == c:
+                raise RuntimeError(f"colour involution {pi} fixes colour {c}")
+            citations.append(ObstructionCitation(s, pi, edge, c, image))
     return ObstructionReport(
         m=G.m,
         n=G.n,
         vertex_perm_count=len(vertex_perms),
         colour_involution_count=len(fpf_involutions),
         pairs_checked=len(vertex_perms) * len(fpf_involutions),
-        consistent_pairs=tuple(consistent),
+        consistent_pairs=(),
         citations=tuple(citations),
     )

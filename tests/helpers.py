@@ -18,6 +18,8 @@ from coloursym.equivariant import (
 from coloursym.graphs import (
     MAX_VERTICES,
     ColouredGraph,
+    ObstructionCitation,
+    ObstructionReport,
     PartialIso,
     check_vertex_count,
     extend_iso,
@@ -25,7 +27,16 @@ from coloursym.graphs import (
     is_colour_consistent,
     missing_queries,
 )
-from coloursym.perms import compose, enumerate_sym
+from coloursym.perms import (
+    Perm,
+    apply,
+    compose,
+    cycle_type,
+    cycles,
+    enumerate_sym,
+    fixed_points,
+    is_involution,
+)
 
 
 def bad_queries(n: int, m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -148,4 +159,40 @@ def phi_homomorphic_on_all_pairs(mul: np.ndarray, phi) -> bool:
     size = len(phi)
     return all(
         phi[int(mul[g][h])] == compose(phi[g], phi[h]) for g in range(size) for h in range(size)
+    )
+
+
+def obstruction_by_full_checks(G: ColouredGraph) -> ObstructionReport:
+    """check_no_fpf_colour_involution with a full is_colour_consistent run
+    on every pair, each inconsistent pair cited by the first 2-cycle whose
+    edge colour the colour involution moves."""
+    fpf_involutions = [
+        pi for pi in enumerate_sym(G.m) if is_involution(pi) and not fixed_points(pi)
+    ]
+    vertex_perms: list[Perm] = []
+    if G.n >= 2:
+        vertex_perms = [s for s in enumerate_sym(G.n) if 2 in cycle_type(s)]
+    consistent: list[tuple[Perm, Perm]] = []
+    citations: list[ObstructionCitation] = []
+    for s in vertex_perms:
+        two_cycles = [c for c in cycles(s) if len(c) == 2]
+        for pi in fpf_involutions:
+            if is_colour_consistent(G, s, pi):
+                consistent.append((s, pi))
+                continue
+            for a, b in two_cycles:
+                u, v = a - 1, b - 1
+                c = int(G.colours[u, v])
+                image = apply(pi, c)
+                if image != c:
+                    citations.append(ObstructionCitation(s, pi, (u, v), c, image))
+                    break
+    return ObstructionReport(
+        m=G.m,
+        n=G.n,
+        vertex_perm_count=len(vertex_perms),
+        colour_involution_count=len(fpf_involutions),
+        pairs_checked=len(vertex_perms) * len(fpf_involutions),
+        consistent_pairs=tuple(consistent),
+        citations=tuple(citations),
     )

@@ -59,7 +59,7 @@ def test_histogram_counts_a_block_of_rows_at_a_time(monkeypatch):
         tracemalloc.stop()
     assert counted == whole
     assert peak < 12 * 2**20
-    monkeypatch.setattr(cli, "ROW_BLOCK_ENTRIES", 50)  # blocks of 2 rows, the last of 1
+    monkeypatch.setattr(graphs, "ROW_BLOCK_ENTRIES", 50)  # blocks of 2 rows, the last of 1
     G = random_graph(23, 5, 2)
     assert cli._histogram(G) == (np.bincount(G.colours.ravel(), minlength=6)[1:] // 2).tolist()
 
@@ -506,6 +506,50 @@ def test_output_paths_are_checked_before_any_work(tmp_path, capsys, monkeypatch,
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "missing/o." in err
     assert [p.name for p in tmp_path.iterdir()] == ["small.json"]  # no --out left behind
+
+
+@pytest.mark.parametrize(
+    "dot, existing",
+    [(dot, existing) for dot in ["g.json", "./g.json", "sub/../g.json", "link.json"]
+     for existing in (False, True)] + [("hard.json", True)],
+)
+def test_out_and_dot_naming_one_file_are_refused(tmp_path, capsys, monkeypatch, dot, existing):
+    # the DOT text would overwrite the graph, yet both were reported written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.json").symlink_to("g.json")  # dangling until g.json exists
+    if existing:
+        (tmp_path / "g.json").write_text("kept")
+        (tmp_path / "hard.json").hardlink_to("g.json")
+    before = sorted((p.name, p.read_text()) for p in tmp_path.glob("*.json") if p.exists())
+
+    def never(*args, **kwargs):
+        raise AssertionError("random_graph ran before the output paths were checked")
+
+    monkeypatch.setattr(cli, "random_graph", never)
+    code, out, err = run(capsys, "gen-random", "--n", "4", "--m", "2", "--out", "g.json", "--dot", dot)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "same file" in err
+    assert sorted((p.name, p.read_text()) for p in tmp_path.glob("*.json") if p.exists()) == before
+
+
+def test_saturate_with_a_huge_k_ends_within_seconds(tmp_path, capsys):
+    # from 2 vertices and 3 colours the second sweep, over 11 vertices,
+    # reads 4^11 queries and nearly all miss; listing each took about 350
+    # bytes, so the sweep stops at MAX_MISSING_QUERIES of them
+    src = tmp_path / "pair.json"
+    src.write_text(random_graph(2, 3, 1).to_json())
+    out = tmp_path / "never-written.json"
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, "saturate", "--in", str(src), "--k", "99999999999", "--out", str(out))
+    assert time.perf_counter() - start < 5
+    assert code == 2 and stdout == ""
+    assert err == (
+        "error: queries of size <= 99999999999 over 11 vertices and 3 colours without a "
+        f"witness exceed the limit of {graphs.MAX_MISSING_QUERIES} per sweep\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

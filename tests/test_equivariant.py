@@ -595,7 +595,7 @@ def test_associativity_defect_in_240_element_table_is_caught(monkeypatch):
     gens = generators(mul)
     assert is_phi_homomorphism(mul, G.phi_table, gens)
     assert not is_associative(mul, gens)
-    monkeypatch.setattr(equivariant, "ROW_BLOCK_ENTRIES", 7 * G.size)  # 7-row blocks
+    monkeypatch.setattr(graphs, "ROW_BLOCK_ENTRIES", 7 * G.size)  # 7-row blocks
     assert is_associative(G.mul, G.gens)
     assert not is_associative(mul, gens)
     monkeypatch.undo()

@@ -23,6 +23,7 @@ from coloursym.graphs import (
     missing_queries,
     random_graph,
     recolour,
+    row_blocks,
     saturate,
     validate_partial_iso,
     witness_queries,
@@ -42,6 +43,7 @@ from helpers import (
     all_two_colourings,
     bad_queries,
     dot_by_pairs,
+    obstruction_by_full_checks,
     random_graph_by_pairs,
     saturate_by_full_sweeps,
 )
@@ -236,6 +238,23 @@ def test_obstruction_citations_name_moved_colours():
         assert citation.image_colour != citation.colour
 
 
+def test_obstruction_report_equals_the_full_check_of_every_pair():
+    # the per-pair certificate cites exactly what a full colour check of
+    # each pair and a search of its 2-cycles would cite
+    for n in range(8):
+        for m in (2, 4, 6, 8):
+            G = random_graph(n, m, 100 * n + m)
+            assert check_no_fpf_colour_involution(G) == obstruction_by_full_checks(G), (n, m)
+
+
+def test_obstruction_raises_if_a_listed_involution_keeps_the_cited_colour(monkeypatch):
+    # every listed involution is fixed-point-free, so this cannot happen
+    # unless the listing is wrong; it must not pass as a refutation
+    monkeypatch.setattr(graphs, "fixed_points", lambda pi: ())  # lists (1)(2)(3 4) too
+    with pytest.raises(RuntimeError, match="fixes colour 1"):
+        check_no_fpf_colour_involution(graph_from_edges(4, 2, [[0, 1, 1]]))
+
+
 # -- witness queries -----------------------------------------------------------
 
 
@@ -316,6 +335,17 @@ def test_missing_queries_counts_the_sweep_before_any_work(monkeypatch):
     monkeypatch.setattr(graphs, "MAX_SWEEP_QUERIES", 36)
     with pytest.raises(ValueError, match="limit of 36"):
         missing_queries(G, 2)
+
+
+def test_missing_queries_lists_at_most_the_limit(monkeypatch):
+    G = random_graph(4, 3, 0)
+    full = missing_queries(G, 3)
+    assert len(full) > 1
+    monkeypatch.setattr(graphs, "MAX_MISSING_QUERIES", len(full))
+    assert missing_queries(G, 3) == full
+    monkeypatch.setattr(graphs, "MAX_MISSING_QUERIES", len(full) - 1)
+    with pytest.raises(ValueError, match=f"without a witness exceed the limit of {len(full) - 1}"):
+        missing_queries(G, 3)
 
 
 def test_missing_queries_since_keeps_the_queries_on_a_later_vertex():
@@ -599,9 +629,9 @@ def test_digit_records_strip_to_the_integers():
         records = [raw[i * width : (i + 1) * width] for i in range(count)]
         assert [r.replace(b"\0", b"").decode() for r in records] == [str(i) for i in range(count)]
     vertex = graphs._digits(11)
-    assert graphs._render(b"<", (vertex, np.array([0, 10])), b">\n") == "<0>\n<10>\n"
+    assert graphs._text(graphs._join(b"<", (vertex, np.array([0, 10])), b">\n")) == "<0>\n<10>\n"
     with pytest.raises(ValueError, match="NUL"):
-        graphs._render(b"<\0", (vertex, np.array([0, 10])))
+        graphs._join(b"<\0", (vertex, np.array([0, 10])))
 
 
 def test_json_reader_rejects_booleans_as_integers():
@@ -791,6 +821,33 @@ def test_colours_are_checked_before_they_narrow_to_uint8():
     H = ColouredGraph(m=2, n=2, colours=D)
     D[0, 1] = D[1, 0] = 2
     assert D.flags.writeable and H.colour_of(0, 1) == 1
+
+
+def test_row_blocks_cover_every_row_once_in_order(monkeypatch):
+    def spans(*args):
+        return [(block.start, block.stop) for block in row_blocks(*args)]
+
+    assert spans(0, 5, 10) == [] and spans(0, 0) == []
+    assert spans(1, 5, 10) == [(0, 1)] and spans(1, 0) == [(0, 1)]
+    assert spans(7, 0, 3) == [(0, 3), (3, 6), (6, 7)]  # width 0 counts as one entry a row
+    assert spans(7, 2, 6) == [(0, 3), (3, 6), (6, 7)]  # 3 does not divide 7: the last is clamped
+    assert spans(3, 10, 4) == [(0, 1), (1, 2), (2, 3)]  # entries < width: one row a block
+    assert spans(4, 2, 100) == [(0, 4)]
+    monkeypatch.setattr(graphs, "ROW_BLOCK_ENTRIES", 4)  # the default is read at call time
+    assert spans(5, 2) == [(0, 2), (2, 4), (4, 5)]
+
+
+def test_only_graphs_binds_the_block_size():
+    # one rule for every matrix pass: the other modules go through row_blocks
+    import importlib
+    import pkgutil
+
+    import coloursym
+
+    names = [name for _, name, _ in pkgutil.iter_modules(coloursym.__path__)]
+    modules = [coloursym] + [importlib.import_module(f"coloursym.{name}") for name in names]
+    bound = [module.__name__ for module in modules if "ROW_BLOCK_ENTRIES" in vars(module)]
+    assert bound == ["coloursym.graphs"]
 
 
 def test_symmetry_is_checked_tile_by_tile(monkeypatch):
