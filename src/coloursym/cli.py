@@ -15,7 +15,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -34,6 +33,7 @@ from .graphs import (
     check_no_fpf_colour_involution,
     find_witness,  # unused here; perfbench/tracing.py patches cli.find_witness
     random_graph,
+    read_graph,
     row_blocks,
     saturate,
 )
@@ -350,7 +350,7 @@ def cmd_saturate(args: argparse.Namespace) -> RunReport:
         },
         seed=args.seed,
     )
-    G = ColouredGraph.from_json(Path(args.infile).read_text(encoding="utf-8"))
+    G = read_graph(args.infile)
     H, achieved = saturate(G, args.k, args.seed, rounds=args.rounds)
     report.check(
         "achieved",
@@ -375,7 +375,7 @@ def cmd_obstruction(args: argparse.Namespace) -> RunReport:
         params={"in": args.infile},
         seed=None,
     )
-    G = ColouredGraph.from_json(Path(args.infile).read_text(encoding="utf-8"))
+    G = read_graph(args.infile)
     result = check_no_fpf_colour_involution(G)
     report.check("no-consistent-fpf-involution", result.passed, result.summary())
     return report

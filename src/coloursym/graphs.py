@@ -19,12 +19,13 @@ disjoint sets U_1..U_m are the query's vertices of each colour.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +47,8 @@ MAX_VERTICES = 1 << 14  # a 256 MiB uint8 matrix; complement --m 7 needs 10080
 MAX_SWEEP_QUERIES = 10**7  # witness queries per sweep; keeps base-m codes in int32
 MAX_MISSING_QUERIES = 5 * 10**5  # listed per sweep; about 350 bytes each, 175 MB at the limit
 SWEEP_BLOCK_ENTRIES = 1 << 14  # colours a witness sweep or the graph writer reads at once
+MAX_GRAPH_FILE_BYTES = 1 << 25  # parsing peaks near 20 bytes of RSS per byte: about 650 MB
+STREAM_WORDS = 1 << 10  # random words a colour stream draws at least at once
 
 
 Query = tuple[Sequence[int], Sequence[int]]  # (vertices, colours); see the module docstring
@@ -225,6 +228,22 @@ def load_json(text: str) -> object:
         raise ValueError("JSON nests too deeply") from exc
 
 
+def read_graph(path: str) -> ColouredGraph:
+    """The graph JSON file (or pipe) at path. At most MAX_GRAPH_FILE_BYTES + 1
+    bytes are read, and a longer input is refused before it is parsed."""
+    parts, size = [], 0
+    with open(path, "rb") as source:  # read(limit) would allocate the whole limit up front
+        while size <= MAX_GRAPH_FILE_BYTES and (
+            part := source.read1(min(1 << 16, MAX_GRAPH_FILE_BYTES + 1 - size))
+        ):
+            parts.append(part)
+            size += len(part)
+    if size > MAX_GRAPH_FILE_BYTES:
+        raise ValueError(f"graph file {path} exceeds the limit of {MAX_GRAPH_FILE_BYTES} bytes")
+    text = io.TextIOWrapper(io.BytesIO(b"".join(parts)), encoding="utf-8").read()  # as read_text
+    return ColouredGraph.from_json(text)
+
+
 def graph_from_edges(m: int, n: int, entries: Iterable[Sequence[int]]) -> ColouredGraph:
     """Build a graph from [u, v, c] triples; every pair exactly once. The
     triples are counted before the n x n matrix is allocated, so a huge n
@@ -266,30 +285,42 @@ def check_vertex_count(n: int) -> None:
         raise ValueError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
 
 
+def colour_stream(rng: random.Random, m: int) -> Callable[[int], np.ndarray]:
+    """draw(count) returns, as uint8, the next count values that successive
+    rng.randrange(m) + 1 calls would return. CPython's randrange(m) keeps
+    the top m.bit_length() bits of one 32-bit word and rejects values >= m;
+    getrandbits(32 * w) returns w such words, the first as the least
+    significant. Words are drawn in batches, and the values accepted but
+    not yet returned wait for the next call; the stream must be rng's only
+    reader."""
+    bits = m.bit_length()
+    drawn = np.zeros(0, dtype=np.uint8)  # accepted, plus 1, not yet returned
+
+    def draw(count: int) -> np.ndarray:
+        nonlocal drawn
+        while len(drawn) < count:
+            words = max(STREAM_WORDS, ((count - len(drawn)) << bits) // m + 1)  # about enough
+            raw = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), "<u4")
+            values = (raw >> (32 - bits)).astype(np.uint8)  # below 2^bits <= 256
+            drawn = np.concatenate([drawn, values[values < m] + 1])
+        values, drawn = drawn[:count], drawn[count:]
+        return values
+
+    return draw
+
+
 def random_graph(n: int, m: int, seed: int) -> ColouredGraph:
     """Graph on n vertices with pair colours drawn independently and
     uniformly from 1..m by a deterministic seeded generator."""
     if not 2 <= m <= MAX_PALETTE:  # checked before n^2 colours are drawn
         raise ValueError(f"palette size {m} is outside the limits 2..{MAX_PALETTE}")
     check_vertex_count(n)
-    # Pair (u, v) gets the colour rng.randrange(m) + 1 would draw, pairs in
-    # row-major order. CPython's randrange(m) keeps the top m.bit_length()
-    # bits of one 32-bit word and rejects values >= m; getrandbits(32 * w)
-    # returns w such words, the first as the least significant.
-    rng = random.Random(f"random-graph:{seed}")
-    bits = m.bit_length()
+    draw = colour_stream(random.Random(f"random-graph:{seed}"), m)  # pairs in row-major order
     C = np.zeros((n, n), dtype=np.uint8)
-    drawn = np.zeros(0, dtype=np.uint8)  # accepted values not yet placed
     for rows in row_blocks(n - 1, n + 1):  # the rows u that hold a pair u < v, in order
         u, v = np.nonzero(np.arange(n) > np.arange(rows.start, rows.stop)[:, None])
         u += rows.start
-        while len(drawn) < len(u):
-            words = ((len(u) - len(drawn)) << bits) // m + 1  # about enough, on average
-            raw = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), "<u4")
-            values = (raw >> (32 - bits)).astype(np.uint8)  # below 2^bits <= 256
-            drawn = np.concatenate([drawn, values[values < m]])
-        C[u, v] = C[v, u] = drawn[: len(u)] + 1
-        drawn = drawn[len(u) :]
+        C[u, v] = C[v, u] = draw(len(u))
     C.flags.writeable = False
     return ColouredGraph(m=m, n=n, colours=C)
 
@@ -373,21 +404,26 @@ def missing_queries(G: ColouredGraph, k: int, *, since: int = 0) -> list[Query]:
     miss are the codes that no outside vertex has; ascending code is
     product order. MAX_SWEEP_QUERIES counts every query, whatever `since`
     is, before any is read; MAX_MISSING_QUERIES bounds the list."""
-    n, m, sizes = G.n, G.m, range(min(k, G.n) + 1)
-    totals = itertools.accumulate(math.comb(n, s) * m**s for s in sizes)  # lazy: stops early
-    if any(total > MAX_SWEEP_QUERIES for total in totals):
+    n, m = G.n, G.m
+    if sweep_exceeds_limit(n, m, k):
         raise ValueError(f"queries of size <= {k} over {n} vertices and {m} colours "
                          f"exceed the limit of {MAX_SWEEP_QUERIES} per sweep")
     missing = []
-    for size in sizes:
+    for size in range(min(k, n) + 1):
         codes = m**size
         place = m ** np.arange(size - 1, -1, -1, dtype=np.int32)  # first vertex, top digit
         tuples = _tuples_since(n, size, since)
         while chunk := list(itertools.islice(tuples, max(1, SWEEP_BLOCK_ENTRIES // (n + 1)))):
-            U = np.array(chunk, dtype=np.intp).reshape(len(chunk), size)
+            U = np.fromiter(itertools.chain.from_iterable(chunk), np.intp, len(chunk) * size)
+            U = U.reshape(len(chunk), size)
             seen = np.zeros(len(chunk) * codes + 1, dtype=bool)  # the last slot is a sink
-            digits = G.colours[:, U].astype(np.int32) - 1  # uint8 would wrap the diagonal to 255
-            code = digits @ place + np.arange(len(chunk), dtype=np.int32) * codes
+            # Horner's rule over U's columns; subtracting sum(place) once turns
+            # colours 1..m into digits 0..m-1 (the diagonal goes negative, then to the sink)
+            code = np.zeros((n, len(chunk)), dtype=np.int32)
+            for column in U.T:
+                code *= m
+                code += G.colours[:, column]
+            code += np.arange(len(chunk), dtype=np.int32) * codes - int(place.sum())
             code[U, np.arange(len(chunk))[:, None]] = len(chunk) * codes  # w inside U
             seen[code] = True
             hole = np.flatnonzero(~seen[:-1])
@@ -397,6 +433,15 @@ def missing_queries(G: ColouredGraph, k: int, *, since: int = 0) -> list[Query]:
             colours = hole[:, None] // place % m + 1
             missing += zip(map(tuple, U[hole // codes].tolist()), map(tuple, colours.tolist()))
     return missing
+
+
+def sweep_exceeds_limit(n: int, m: int, k: int) -> bool:
+    """Whether a sweep over n vertices counts more than MAX_SWEEP_QUERIES
+    queries of at most k vertices: the sum of C(n, s) * m^s over s <=
+    min(k, n), summed lazily so that it stops at the first size past the
+    limit. The count only grows with n."""
+    totals = itertools.accumulate(math.comb(n, s) * m**s for s in range(min(k, n) + 1))
+    return any(total > MAX_SWEEP_QUERIES for total in totals)
 
 
 def _tuples_since(n: int, size: int, since: int) -> Iterator[tuple[int, ...]]:
@@ -429,26 +474,48 @@ def saturate(
     queries on a vertex the sweep before it added. The others already have
     a witness: that sweep gave one to each query it found missing, and no
     colour between vertices already there ever changes.
+
+    The queries on a tuple U come together, so the colours to U of the
+    vertices the sweep added before them are read once, into a set. A
+    vertex added for a query on U has its colours on U, which no other
+    query on U has, so the set needs no update.
+
+    A sweep that finds queries missing is refused before it adds a vertex
+    when the next one is bound to exceed MAX_SWEEP_QUERIES: each of the
+    m^s queries on an s-tuple, s = min(k, n), needs its own vertex outside
+    the tuple, so the graph grows to at least max(n + 1, s + m^s) vertices.
     """
     if k < 1:
         raise ValueError("witness size must be at least 1")
     if rounds < 1:
         raise ValueError("at least one sweep is required")
-    rng = random.Random(f"saturate:{seed}")
+    draw = colour_stream(random.Random(f"saturate:{seed}"), G.m)
     since = 0  # every query on vertices below `since` has a witness
     for sweep in range(rounds + 1):
         missing = missing_queries(G, k, since=since)
         if not missing or sweep == rounds:  # the deciding sweep adds nothing
             break
-        n = v = G.n  # pad once: a vertex per missing query, within the limit checked below
+        n = v = G.n
+        s = min(k, n)
+        if sweep_exceeds_limit(max(n + 1, s + G.m**s), G.m, k):
+            raise ValueError(f"saturating {n} vertices and {G.m} colours at k = {k} grows the "
+                             f"graph to at least {s} + {G.m}^{s} vertices, and the queries over "
+                             f"them exceed the limit of {MAX_SWEEP_QUERIES} per sweep")
+        # pad once: a vertex per missing query, within the limit checked below
         D = np.pad(G.colours, (0, min(len(missing), max(1, MAX_VERTICES - n))))
-        for verts, colours in missing:
-            if np.all(D[n:v, list(verts)] == colours, axis=1).any():
-                continue
-            check_vertex_count(v + 1)
-            forced = dict(zip(verts, colours))
-            D[v, :v] = D[:v, v] = [forced.get(u) or rng.randrange(G.m) + 1 for u in range(v)]
-            v += 1
+        for verts, queries in itertools.groupby(missing, key=lambda q: q[0]):
+            U = list(verts)
+            witnessed = set(map(tuple, D[n:v, U].tolist()))
+            for _, colours in queries:
+                if colours in witnessed:
+                    continue
+                check_vertex_count(v + 1)
+                free = np.ones(v, dtype=bool)
+                free[U] = False
+                D[v, :v][free] = draw(v - len(U))  # ascending u, one draw per pair
+                D[v, U] = colours
+                D[:v, v] = D[v, :v]
+                v += 1
         G, since = ColouredGraph(m=G.m, n=v, colours=D[:v, :v]), n
     return G, not missing
 

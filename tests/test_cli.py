@@ -2,7 +2,9 @@ import ast
 import dataclasses
 import hashlib
 import json
+import os
 import shlex
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -550,6 +552,64 @@ def test_saturate_with_a_huge_k_ends_within_seconds(tmp_path, capsys):
         f"witness exceed the limit of {graphs.MAX_MISSING_QUERIES} per sweep\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "n, m, k, size",
+    [(2, 200, "2", 2), (2, 100, "2", 2), (3, 2, "99999999999", 11), (1, 2, "99999999999", 11)],
+)
+def test_saturate_bound_to_hit_the_sweep_limit_ends_at_once(tmp_path, capsys, n, m, k, size):
+    # each ran for 13 s (m = 2) to 95 s (m = 200) before the sweep or vertex
+    # limit stopped it; the sweep over `size` vertices must give each of the
+    # m^size queries on one tuple its own new vertex
+    src = tmp_path / "g.json"
+    src.write_text(random_graph(n, m, 1).to_json())
+    out = tmp_path / "never-written.json"
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, "saturate", "--in", str(src), "--k", k, "--out", str(out))
+    assert time.perf_counter() - start < 2
+    assert (code, stdout) == (2, "")
+    assert err == (
+        f"error: saturating {size} vertices and {m} colours at k = {k} grows the graph to at least "
+        f"{size} + {m}^{size} vertices, and the queries over them exceed the limit of "
+        f"{graphs.MAX_SWEEP_QUERIES} per sweep\n"
+    )
+    assert not out.exists()
+
+
+def test_graph_files_are_read_up_to_a_byte_limit(tmp_path, capsys):
+    limit = graphs.MAX_GRAPH_FILE_BYTES
+    text = random_graph(4, 2, 1).to_json()
+    exact, over = tmp_path / "exact.json", tmp_path / "over.json"
+    exact.write_text(text + " " * (limit - len(text)))
+    over.write_text(text + " " * (limit + 1 - len(text)))
+    assert run(capsys, "obstruction", "--in", str(exact))[0] == 0
+    for argv in (["obstruction"], ["saturate", "--k", "1", "--out", str(tmp_path / "o.json")]):
+        code, out, err = run(capsys, *argv, "--in", str(over))
+        assert (code, out) == (2, "")
+        assert err == f"error: graph file {over} exceeds the limit of {limit} bytes\n"
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_a_graph_pipe_is_read_no_further_than_the_byte_limit(tmp_path, capsys):
+    limit = graphs.MAX_GRAPH_FILE_BYTES
+    pipe = tmp_path / "pipe.json"
+    os.mkfifo(pipe)
+
+    def feed():
+        try:
+            with open(pipe, "wb") as sink:
+                sink.write(b" " * (limit + (1 << 20)))
+        except BrokenPipeError:  # the reader closed the pipe after limit + 1 bytes
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    code, out, err = run(capsys, "obstruction", "--in", str(pipe))
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert (code, out) == (2, "")
+    assert err == f"error: graph file {pipe} exceeds the limit of {limit} bytes\n"
 
 
 @pytest.mark.parametrize(

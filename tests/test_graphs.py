@@ -1,6 +1,9 @@
+import collections
 import hashlib
 import itertools
 import json
+import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,6 +18,7 @@ from coloursym.graphs import (
     WitnessMissingError,
     check_no_fpf_colour_involution,
     colour_lookup,
+    colour_stream,
     embed,
     extend_iso,
     find_witness,
@@ -78,6 +82,18 @@ def test_random_graph_matches_the_pairs_loop():
     for n, m in [(0, 2), (1, 3), (3, 3), (50, 5), (64, 128), (64, 129), (97, 255), (300, 2), (1100, 7)]:
         for seed in (0, 1):
             assert random_graph(n, m, seed) == random_graph_by_pairs(n, m, seed), (n, m, seed)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 128, 129, 255])
+def test_colour_stream_returns_successive_randrange_draws(m):
+    # requests of 0, 1 and many values: what one request leaves over is
+    # handed out first by the next, across batches of random words
+    draw = colour_stream(random.Random(f"stream:{m}"), m)
+    rng = random.Random(f"stream:{m}")
+    for count in (0, 1, 0, 3, 1, 2 * graphs.STREAM_WORDS, 1, 7, 5 * graphs.STREAM_WORDS, 0, 2):
+        values = draw(count)
+        assert values.dtype == np.uint8
+        assert values.tolist() == [rng.randrange(m) + 1 for _ in range(count)], (m, count)
 
 
 def test_random_graph_rejects_tiny_palette():
@@ -324,6 +340,19 @@ def test_missing_queries_reads_uint8_colours_without_wrapping():
         assert missing_queries(G, k) == oracle_missing(G, k), (G, k)
 
 
+@pytest.mark.parametrize("entries", [1, 20])
+def test_missing_queries_agrees_with_find_witness_in_small_blocks(monkeypatch, entries):
+    # blocks of one or a few tuples, a last block cut short, and codes up to 255^2
+    monkeypatch.setattr(graphs, "SWEEP_BLOCK_ENTRIES", entries)
+    cases = [(random_graph(7, 2, 3), 3), (random_graph(6, 3, 4), 2), (random_graph(6, 255, 5), 1)]
+    cases.append((random_graph(2, 255, 6), 2))
+    for G, k in cases:
+        full = oracle_missing(G, k)
+        for since in range(G.n + 1):
+            kept = [q for q in full if max(q[0], default=0) >= since]
+            assert missing_queries(G, k, since=since) == kept, (G.n, G.m, k, since)
+
+
 def test_missing_queries_counts_the_sweep_before_any_work(monkeypatch):
     G = random_graph(3, 3, 0)  # 1 + 3*3 + 3*9 = 37 queries of size <= 2
     monkeypatch.setattr(graphs, "MAX_SWEEP_QUERIES", 64)
@@ -453,6 +482,7 @@ def test_saturate_keeps_its_bytes(case, result, digest):
 
 SATURATE_CASES = [  # (n, m, seed, k, rounds)
     *itertools.product(range(5), (2, 3), (0, 1), (1, 2), (1, 2, 8)),
+    *itertools.product(range(4), (4, 5), (2,), (1, 2), (1, 8)),
     (0, 2, 4, 3, 8),
     (2, 3, 0, 3, 1),
     (3, 2, 3, 3, 2),
@@ -472,6 +502,58 @@ def test_saturate_equals_the_full_sweep_oracle():
         assert achieved == (missing_queries(H, k) == []), (n, m, s, k, r)
         verdicts.add(achieved)
     assert verdicts == {True, False}
+
+
+def test_a_tuple_can_take_several_new_vertices_in_one_sweep():
+    # saturate reads the colours to U of the vertices added before U's
+    # queries once; replay the first sweep query by query on its result:
+    # each query takes a new vertex unless one added before it witnesses it
+    for n, m, s, k, _ in SATURATE_CASES:
+        G = random_graph(n, m, s)
+        H, _ = saturate(G, k, s, rounds=1)
+        taken, v = collections.Counter(), n
+        for verts, colours in missing_queries(G, k):
+            if list(colours) not in H.colours[n:v, list(verts)].tolist():
+                taken[verts] += 1
+                v += 1
+        assert v == H.n, (n, m, s, k)
+        if (n, m, s, k) == (3, 4, 2, 2):
+            assert max(taken.values()) >= 2
+
+
+def test_saturate_refuses_a_run_the_sweep_limit_would_stop(monkeypatch):
+    # the refusal comes before the sweep adds a vertex; without it the
+    # full-sweep oracle, which has no such refusal, fails on a later sweep
+    monkeypatch.setattr(graphs, "MAX_SWEEP_QUERIES", 2000)
+    outcomes = collections.Counter()
+    for n, m, s, k in itertools.product(range(5), (2, 3, 4), (0, 1), (1, 2, 3)):
+        G = random_graph(n, m, s)
+        try:
+            expected = saturate_by_full_sweeps(G, k, s)
+        except ValueError as exc:
+            expected = exc
+        try:
+            got = saturate(G, k, s)
+        except ValueError as exc:
+            assert isinstance(expected, ValueError), (n, m, s, k)
+            outcomes["refused" if "grows the graph" in str(exc) else "failed"] += 1
+            continue
+        assert got == expected, (n, m, s, k)
+        outcomes["saturated"] += 1
+    assert outcomes["refused"] and outcomes["saturated"], outcomes
+
+
+def test_saturate_refusal_sits_at_the_count_over_the_smallest_graph_it_grows_to(monkeypatch):
+    # from 2 vertices and 3 colours at k = 2 the first sweep grows the graph to
+    # at least 2 + 3^2 = 11 vertices: 1 + 11*3 + 55*9 = 529 queries of size <= 2
+    # (the next sweep, at 11 vertices, is refused in turn at a limit of 529)
+    G = random_graph(2, 3, 0)
+    for n, limit in [(2, 528), (11, 529)]:
+        monkeypatch.setattr(graphs, "MAX_SWEEP_QUERIES", limit)
+        message = (f"saturating {n} vertices and 3 colours at k = 2 grows the graph to at least "
+                   f"2 + 3^2 vertices, and the queries over them exceed the limit of {limit} per sweep")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            saturate(G, 2, 0)
 
 
 def test_saturate_stops_at_the_vertex_limit(monkeypatch):
