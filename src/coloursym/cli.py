@@ -417,80 +417,78 @@ def cmd_coset_bound(args: argparse.Namespace) -> RunReport:
     return report
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_ONLY = f"m <= {COVER_ENUM_MAX_M} only"
+# each command: its help, its function, and its arguments besides -h and --json
+_COMMANDS = {
+    "gen-random": ("write a seeded random coloured graph", cmd_gen_random, [
+        ("--n", {"type": int, "required": True, "help": "vertex count"}),
+        ("--m", {"type": int, "required": True, "help": "palette size"}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--out", {"required": True, "help": "output graph JSON path"}),
+        ("--dot", {"default": None, "help": "also write a DOT rendering here"}),
+    ]),
+    "complement": (
+        "verify the colour-symmetry complement (odd m) or the obstruction (even m)",
+        cmd_complement, [
+            ("--m", {"type": int, "required": True}),
+            ("--orbits", {"type": int, "default": None,
+                          "help": "orbit copies, odd m only (default 2)"}),
+            ("--seed", {"type": int, "default": 0}),
+            ("--out", {"default": None, "help": "write the assembled graph JSON here (odd m only)"}),
+        ]),
+    "supplement": ("test a double cover as a supplement and verify it", cmd_supplement, [
+        ("--m", {"type": int, "required": True}),
+        ("--cover", {"choices": ["tilde", "hat"], "required": True}),
+        ("--orbits", {"type": int, "default": None, "help": f"orbit copies, {_ONLY} (default 1)"}),
+        ("--seed", {"type": int, "default": None, "help": f"colouring seed, {_ONLY} (default 0)"}),
+        ("--out", {"default": None, "help": f"write the assembled graph JSON here, {_ONLY}"}),
+    ]),
+    "cover-table": ("orders of lifted transposition products", cmd_cover_table, [
+        ("--m", {"type": int, "required": True}),
+        ("--cover", {"choices": ["tilde", "hat"], "required": True}),
+        ("--direct", {"action": "store_true", "help": "skip cover enumeration"}),
+    ]),
+    "saturate": ("add witnesses until size-k queries succeed", cmd_saturate, [
+        ("--in", {"dest": "infile", "required": True}),
+        ("--k", {"type": int, "required": True}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--rounds", {"type": int, "default": 8}),
+        ("--out", {"required": True}),
+    ]),
+    "obstruction": ("exhaustive fixed-point-free recolouring check", cmd_obstruction, [
+        ("--in", {"dest": "infile", "required": True}),
+    ]),
+    "coset-bound": ("the m^(k^2) > m*(k!)^2 inequality", cmd_coset_bound, [
+        ("--m", {"type": int, "default": None}),
+        ("--k", {"type": int, "default": None}),
+    ]),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv. Every command is registered with its name and
+    help, so the usage, the choices and -h read the same for any argv; only
+    the invoked command, the first argument that names one, gets its
+    arguments, since argparse never reads the others."""
     parser = argparse.ArgumentParser(
         prog="coloursym",
         description="Edge-coloured complete graphs and their colour symmetries",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-random", help="write a seeded random coloured graph")
-    p.add_argument("--n", type=int, required=True, help="vertex count")
-    p.add_argument("--m", type=int, required=True, help="palette size")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output graph JSON path")
-    p.add_argument("--dot", default=None, help="also write a DOT rendering here")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_gen_random)
-
-    p = sub.add_parser(
-        "complement",
-        help="verify the colour-symmetry complement (odd m) or the obstruction (even m)",
-    )
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--orbits", type=int, default=None, help="orbit copies, odd m only (default 2)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="write the assembled graph JSON here (odd m only)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_complement)
-
-    p = sub.add_parser(
-        "supplement", help="test a double cover as a supplement and verify it"
-    )
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--cover", choices=["tilde", "hat"], required=True)
-    only = f"m <= {COVER_ENUM_MAX_M} only"
-    p.add_argument("--orbits", type=int, default=None, help=f"orbit copies, {only} (default 1)")
-    p.add_argument("--seed", type=int, default=None, help=f"colouring seed, {only} (default 0)")
-    p.add_argument("--out", default=None, help=f"write the assembled graph JSON here, {only}")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_supplement)
-
-    p = sub.add_parser("cover-table", help="orders of lifted transposition products")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--cover", choices=["tilde", "hat"], required=True)
-    p.add_argument("--direct", action="store_true", help="skip cover enumeration")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_cover_table)
-
-    p = sub.add_parser("saturate", help="add witnesses until size-k queries succeed")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rounds", type=int, default=8)
-    p.add_argument("--out", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_saturate)
-
-    p = sub.add_parser(
-        "obstruction", help="exhaustive fixed-point-free recolouring check"
-    )
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_obstruction)
-
-    p = sub.add_parser("coset-bound", help="the m^(k^2) > m*(k!)^2 inequality")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_coset_bound)
-
+    invoked = next((arg for arg in argv if arg in _COMMANDS), None)
+    for name, (summary, func, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary, add_help=name == invoked)
+        if name == invoked:
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
+            p.add_argument("--json", action="store_true")
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     start = time.perf_counter()
     try:
         _check_writable(getattr(args, "out", None), getattr(args, "dot", None))

@@ -44,8 +44,10 @@ OBSTRUCTION_GUARD = 7  # n! vertex permutations are enumerated; 7! is the ceilin
 ROW_BLOCK_ENTRIES = 1 << 20  # whole-matrix scans work on row blocks or tiles of about this size
 MAX_PALETTE = 255  # colours fit one byte, and reports list every colour
 MAX_VERTICES = 1 << 14  # a 256 MiB uint8 matrix; complement --m 7 needs 10080
-MAX_SWEEP_QUERIES = 10**7  # witness queries per sweep; keeps base-m codes in int32
-MAX_MISSING_QUERIES = 5 * 10**5  # listed per sweep; about 350 bytes each, 175 MB at the limit
+MAX_SWEEP_QUERIES = 10**7  # witness queries per sweep; also bounds a block's table of codes
+# listed per sweep, about 18 bytes per vertex of the sweep's width min(k, n), which
+# MAX_SWEEP_QUERIES keeps at most 14 when m >= 2: under 130 MB at the limit
+MAX_MISSING_QUERIES = 5 * 10**5
 SWEEP_BLOCK_ENTRIES = 1 << 14  # colours a witness sweep or the graph writer reads at once
 MAX_GRAPH_FILE_BYTES = 1 << 25  # parsing peaks near 20 bytes of RSS per byte: about 650 MB
 STREAM_WORDS = 1 << 10  # random words a colour stream draws at least at once
@@ -399,40 +401,53 @@ def find_witness(G: ColouredGraph, q: Query) -> Optional[int]:
 def missing_queries(G: ColouredGraph, k: int, *, since: int = 0) -> list[Query]:
     """The queries of at most k vertices that have no witness and whose
     largest vertex is at least `since`, in witness_queries order; the empty
-    query counts only when since is 0. Every vertex w outside a tuple U
-    reads its colours C[w, U] as a base-m code, so the queries on U that
-    miss are the codes that no outside vertex has; ascending code is
-    product order. MAX_SWEEP_QUERIES counts every query, whatever `since`
-    is, before any is read; MAX_MISSING_QUERIES bounds the list."""
-    n, m = G.n, G.m
+    query counts only when since is 0. The queries come from
+    _missing_blocks, which saturate reads directly."""
+    return [
+        query
+        for verts, colours in _missing_blocks(G.colours, G.n, G.m, k, since)
+        for query in zip(map(tuple, verts.tolist()), map(tuple, colours.tolist()))
+    ]
+
+
+def _missing_blocks(
+    C: np.ndarray, n: int, m: int, k: int, since: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """missing_queries over the n vertices in the corner of the colour
+    matrix C, as blocks (vertices, colours) of queries of one size, one
+    query a row. Every vertex w outside a tuple U reads its colours C[w, U]
+    as a base-m code, so the queries on U that miss are the codes that no
+    outside vertex has; ascending code is product order. MAX_SWEEP_QUERIES
+    counts every query, whatever `since` is, before any is read;
+    MAX_MISSING_QUERIES bounds the queries listed."""
     if sweep_exceeds_limit(n, m, k):
         raise ValueError(f"queries of size <= {k} over {n} vertices and {m} colours "
                          f"exceed the limit of {MAX_SWEEP_QUERIES} per sweep")
-    missing = []
-    for size in range(min(k, n) + 1):
+    if n == 0 and since == 0:  # the empty query, which any vertex witnesses
+        yield np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0), dtype=np.uint8)
+    listed = 0
+    for size in range(1, min(k, n) + 1):
         codes = m**size
-        place = m ** np.arange(size - 1, -1, -1, dtype=np.int32)  # first vertex, top digit
-        tuples = _tuples_since(n, size, since)
-        while chunk := list(itertools.islice(tuples, max(1, SWEEP_BLOCK_ENTRIES // (n + 1)))):
-            U = np.fromiter(itertools.chain.from_iterable(chunk), np.intp, len(chunk) * size)
-            U = U.reshape(len(chunk), size)
-            seen = np.zeros(len(chunk) * codes + 1, dtype=bool)  # the last slot is a sink
-            # Horner's rule over U's columns; subtracting sum(place) once turns
-            # colours 1..m into digits 0..m-1 (the diagonal goes negative, then to the sink)
-            code = np.zeros((n, len(chunk)), dtype=np.int32)
-            for column in U.T:
+        place = m ** np.arange(size - 1, -1, -1)  # first vertex, top digit
+        low = int(place.sum())  # the code of colours 1, ..., 1 on tuple 0
+        for U in _tuples_since(n, size, since, max(1, SWEEP_BLOCK_ENTRIES // (n + 1))):
+            # Horner's rule over U's columns, read as rows of the symmetric C,
+            # from the tuple's index: tuple t's codes fill t * codes + low + [0, codes)
+            code = C[U[:, 0], :n] + np.arange(0, len(U) * m, m)[:, None]
+            for column in U.T[1:]:
                 code *= m
-                code += G.colours[:, column]
-            code += np.arange(len(chunk), dtype=np.int32) * codes - int(place.sum())
-            code[U, np.arange(len(chunk))[:, None]] = len(chunk) * codes  # w inside U
+                code += C[column, :n]
+            sink = len(U) * codes + low
+            code[np.arange(len(U))[:, None], U] = sink  # w inside U
+            seen = np.zeros(sink + 1, dtype=bool)
             seen[code] = True
-            hole = np.flatnonzero(~seen[:-1])
-            if len(missing) + len(hole) > MAX_MISSING_QUERIES:
+            hole = np.flatnonzero(~seen[low:-1])
+            listed += len(hole)
+            if listed > MAX_MISSING_QUERIES:
                 raise ValueError(f"queries of size <= {k} over {n} vertices and {m} colours without "
                                  f"a witness exceed the limit of {MAX_MISSING_QUERIES} per sweep")
-            colours = hole[:, None] // place % m + 1
-            missing += zip(map(tuple, U[hole // codes].tolist()), map(tuple, colours.tolist()))
-    return missing
+            if len(hole):
+                yield U[hole // codes], (hole[:, None] // place % m + 1).astype(np.uint8)
 
 
 def sweep_exceeds_limit(n: int, m: int, k: int) -> bool:
@@ -444,17 +459,24 @@ def sweep_exceeds_limit(n: int, m: int, k: int) -> bool:
     return any(total > MAX_SWEEP_QUERIES for total in totals)
 
 
-def _tuples_since(n: int, size: int, since: int) -> Iterator[tuple[int, ...]]:
-    """The tuples of itertools.combinations(range(n), size) whose last
-    vertex is at least `since`, in that order, drawn without the rest:
-    each head of size - 1 vertices, then every last vertex after it."""
-    if size == 0:
-        if since == 0:
-            yield ()
-        return
-    for head in itertools.combinations(range(n - 1), size - 1):
-        for last in range(max(head[-1] + 1, since) if head else since, n):
-            yield head + (last,)
+def _tuples_since(n: int, size: int, since: int, rows: int) -> Iterator[np.ndarray]:
+    """The tuples of itertools.combinations(range(n), size), size >= 1,
+    whose last vertex is at least `since`, in that order, as arrays of at
+    most `rows` tuples, one a row, drawn without the rest: each head of
+    size - 1 vertices is repeated once for every last vertex after it and
+    from `since` on."""
+    heads = itertools.combinations(range(n - 1), size - 1)
+    while batch := list(itertools.islice(heads, rows)):
+        H = np.fromiter(itertools.chain.from_iterable(batch), np.intp, len(batch) * (size - 1))
+        H = H.reshape(len(batch), size - 1)
+        after = np.maximum(H.max(axis=1, initial=-1), since - 1)  # the empty head ends at -1
+        counts = np.maximum(n - 1 - after, 0)
+        tuples = np.empty((counts.sum(), size), dtype=np.intp)
+        tuples[:, :-1] = np.repeat(H, counts, axis=0)
+        # the last vertices count up from after + 1, restarting at each head
+        tuples[:, -1] = np.arange(len(tuples)) + np.repeat(after + 1 - counts.cumsum() + counts, counts)
+        for block in row_blocks(len(tuples), 1, rows):
+            yield tuples[block]
 
 
 def saturate(
@@ -475,49 +497,68 @@ def saturate(
     a witness: that sweep gave one to each query it found missing, and no
     colour between vertices already there ever changes.
 
-    The queries on a tuple U come together, so the colours to U of the
-    vertices the sweep added before them are read once, into a set. A
-    vertex added for a query on U has its colours on U, which no other
-    query on U has, so the set needs no update.
+    The sweep holds its missing queries as two arrays, vertices and
+    colours, padded to width min(k, n) with the vertex -1 and the colour 0.
+    The working matrix keeps its last row and column at 0, so every row
+    reads colour 0 at the padding. Each added vertex's row marks, in one
+    comparison, the queries it witnesses; the next vertex goes to the first
+    query left unmarked. The mirrored columns of the rows a sweep added are
+    written when it ends, since the sweep reads only columns below n.
 
-    A sweep that finds queries missing is refused before it adds a vertex
-    when the next one is bound to exceed MAX_SWEEP_QUERIES: each of the
-    m^s queries on an s-tuple, s = min(k, n), needs its own vertex outside
-    the tuple, so the graph grows to at least max(n + 1, s + m^s) vertices.
+    A sweep that finds queries missing is refused at the first of them,
+    before it lists the rest, when the next sweep is bound to exceed
+    MAX_SWEEP_QUERIES: each of the m^s queries on an s-tuple, s = min(k, n),
+    needs its own vertex outside the tuple, so the graph grows to at least
+    max(n + 1, s + m^s) vertices.
     """
     if k < 1:
         raise ValueError("witness size must be at least 1")
     if rounds < 1:
         raise ValueError("at least one sweep is required")
-    draw = colour_stream(random.Random(f"saturate:{seed}"), G.m)
+    m, n = G.m, G.n
+    draw = colour_stream(random.Random(f"saturate:{seed}"), m)
+    D = np.zeros((n + 1, n + 1), dtype=np.uint8)  # grown per sweep; every graph is its corner
+    D[:n, :n] = G.colours
     since = 0  # every query on vertices below `since` has a witness
     for sweep in range(rounds + 1):
-        missing = missing_queries(G, k, since=since)
-        if not missing or sweep == rounds:  # the deciding sweep adds nothing
+        blocks = _missing_blocks(D, n, m, k, since)
+        first = next(blocks, None)
+        if first is None or sweep == rounds:  # the deciding sweep adds nothing
             break
-        n = v = G.n
         s = min(k, n)
-        if sweep_exceeds_limit(max(n + 1, s + G.m**s), G.m, k):
-            raise ValueError(f"saturating {n} vertices and {G.m} colours at k = {k} grows the "
-                             f"graph to at least {s} + {G.m}^{s} vertices, and the queries over "
+        if sweep_exceeds_limit(max(n + 1, s + m**s), m, k):
+            raise ValueError(f"saturating {n} vertices and {m} colours at k = {k} grows the "
+                             f"graph to at least {s} + {m}^{s} vertices, and the queries over "
                              f"them exceed the limit of {MAX_SWEEP_QUERIES} per sweep")
-        # pad once: a vertex per missing query, within the limit checked below
-        D = np.pad(G.colours, (0, min(len(missing), max(1, MAX_VERTICES - n))))
-        for verts, queries in itertools.groupby(missing, key=lambda q: q[0]):
-            U = list(verts)
-            witnessed = set(map(tuple, D[n:v, U].tolist()))
-            for _, colours in queries:
-                if colours in witnessed:
-                    continue
-                check_vertex_count(v + 1)
-                free = np.ones(v, dtype=bool)
-                free[U] = False
-                D[v, :v][free] = draw(v - len(U))  # ascending u, one draw per pair
-                D[v, U] = colours
-                D[:v, v] = D[v, :v]
-                v += 1
-        G, since = ColouredGraph(m=G.m, n=v, colours=D[:v, :v]), n
-    return G, not missing
+        parts = [first, *blocks]
+        count = sum(len(verts) for verts, _ in parts)
+        V = np.full((s, count), -1, dtype=np.intp)  # query j is column j
+        Q = np.zeros((s, count), dtype=np.uint8)
+        at = 0
+        for verts, colours in parts:
+            V[: verts.shape[1], at : at + len(verts)] = verts.T
+            Q[: verts.shape[1], at : at + len(verts)] = colours.T
+            at += len(verts)
+        # room for a vertex per missing query, within the limit checked below
+        size = n + min(count, max(1, MAX_VERTICES - n)) + 1
+        if size > len(D):
+            D, old = np.zeros((size, size), dtype=np.uint8), D
+            D[:n, :n] = old[:n, :n]
+        pending = np.ones(count, dtype=bool)
+        v = n
+        while pending[j := int(pending.argmax())]:
+            check_vertex_count(v + 1)
+            row, U = D[v], V[:, j]
+            free = np.arange(len(row)) < v
+            free[U] = False
+            row[free] = draw(np.count_nonzero(free))  # ascending u, one draw per pair
+            row[U] = Q[:, j]
+            pending &= (row[V] != Q).any(axis=0)
+            v += 1
+        D[:v, n:v] |= D[n:v, :v].T  # the new rows hold zeros at and past their diagonal
+        since, n = n, v
+    H = G if n == G.n else ColouredGraph(m=m, n=n, colours=D[:n, :n])  # checked once, at the end
+    return H, first is None
 
 
 def embed(H: ColouredGraph, G: ColouredGraph) -> tuple[int, ...]:

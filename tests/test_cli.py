@@ -538,8 +538,8 @@ def test_out_and_dot_naming_one_file_are_refused(tmp_path, capsys, monkeypatch, 
 
 def test_saturate_with_a_huge_k_ends_within_seconds(tmp_path, capsys):
     # from 2 vertices and 3 colours the second sweep, over 11 vertices,
-    # reads 4^11 queries and nearly all miss; listing each took about 350
-    # bytes, so the sweep stops at MAX_MISSING_QUERIES of them
+    # reads 4^11 queries and nearly all miss; at the first of them it is
+    # refused, since its vertices would grow the graph past the sweep limit
     src = tmp_path / "pair.json"
     src.write_text(random_graph(2, 3, 1).to_json())
     out = tmp_path / "never-written.json"
@@ -548,8 +548,9 @@ def test_saturate_with_a_huge_k_ends_within_seconds(tmp_path, capsys):
     assert time.perf_counter() - start < 5
     assert code == 2 and stdout == ""
     assert err == (
-        "error: queries of size <= 99999999999 over 11 vertices and 3 colours without a "
-        f"witness exceed the limit of {graphs.MAX_MISSING_QUERIES} per sweep\n"
+        "error: saturating 11 vertices and 3 colours at k = 99999999999 grows the graph to at "
+        f"least 11 + 3^11 vertices, and the queries over them exceed the limit of "
+        f"{graphs.MAX_SWEEP_QUERIES} per sweep\n"
     )
     assert not out.exists()
 
@@ -667,18 +668,63 @@ UNREAD = {("complement-even", flag) for flag in ("--orbits", "--out")} | {
 }
 
 
+def subcommands(argv):
+    """The subparsers of the parser built for argv, by command name."""
+    return next(a for a in cli._build_parser(argv)._actions if a.dest == "command").choices
+
+
 def optional_flags(command):
-    subparsers = next(a for a in cli._build_parser()._actions if a.dest == "command")
     return [
         action.option_strings[0]
-        for action in subparsers.choices[command]._actions
+        for action in subcommands([command])[command]._actions
         if action.option_strings and not action.required and action.dest not in ("help", "json")
     ]
 
 
 def test_every_subcommand_has_a_branch_here():
-    subparsers = next(a for a in cli._build_parser()._actions if a.dest == "command")
-    assert set(subparsers.choices) == {argv[0] for argv in BRANCHES.values()}
+    commands = set(subcommands([]))
+    assert commands == {argv[0] for argv in BRANCHES.values()}
+    for command in commands:  # each command's own parser holds its arguments
+        assert [a.dest for a in subcommands([command])[command]._actions][-1] == "json"
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        ("-h", 0, "d10b5e2d524258a4192f8b49a5f828386f16187641302fba9a1d2ad7edf3f122"),
+        ("nope", 2, "142d85206658f3a4fe156c98a02d5a15eb74b5db22c05496676a2924493c9ab5"),
+        ("gen-random -h", 0, "51bb2709d15af0134d6de666fcf6ab0e4e4538df51309e193dbc17641c2475e3"),
+        ("complement -h", 0, "0a3fd45d4e133070be5deaf4faac2233ce761ba70a967374074c826cedfd53d8"),
+        ("supplement -h", 0, "b7ce4a8d6962c562d086d9b7826eed7b76e135edf8936b4b512416324ad97fed"),
+        ("cover-table -h", 0, "b22637cab63b6c4da325afa79000174d20f4573cf416841bba68b426f735cb88"),
+        ("saturate -h", 0, "ddfed1934a95f22c6db976f7f386816506d1bd6257910220cee86031f59bdf36"),
+        ("obstruction -h", 0, "dadfc8186f72aa06adab9537c079cc54e471af58948a268538892307a1aada22"),
+        ("coset-bound -h", 0, "e33ff6396dcf999c702312e67556815aed0556ad9bf5cfc9797bb9e2f870fb88"),
+        ("gen-random", 2, "fa94f735a827577cf171782bc28a6d4229c12d6d51ad63e03fdbe950d4052d68"),
+        ("complement", 2, "697487b86f886d3b13aee625bc8b50937b957f4913f7cc2c4b797bf0686f81cf"),
+        ("supplement --m 3", 2, "5bb5955d311f43bea1c0d582f60db0bf85c9c06bf77add14800984754d8b930b"),
+        ("cover-table --cover hat", 2, "654f99138e76c252f02433e980a1c3c4d511a1462aa730d0ab7960f4fd0db6f5"),
+        ("saturate --in a --out o", 2, "a3df296eb3e28c3557062c8676627388925bec57654a3878a9dd39101e84a71e"),
+        ("obstruction", 2, "3ddf52290db4b891b01fc8dd5a513389697ea6bbf91991fa4c1714a47ee7a736"),
+        ("gen-random --n x --m 3 --out o", 2, "a2af5f51dd7687f8fc264153aeb72827307287f7140be820c6537d414db3da8e"),
+        ("complement --m x", 2, "f55689b782c24b50cbb7f4dadf64842c5c031ca4493d8a993840769a03d44d78"),
+        ("supplement --m x --cover hat", 2, "e8b9d429e244aeb2d90e3398a6400606a722b8eb4d3242bac114cb55ef2ba5d2"),
+        ("cover-table --m x --cover hat", 2, "979787f6b3a909b183b94afafe2d2383cb8f700d13e488172c741e4e7e6a42ff"),
+        ("saturate --in a --k x --out o", 2, "7f3d60195a22d56afde8fe44f90902e61eae835e7d57954986463e7458c83913"),
+        ("coset-bound --m x", 2, "b65df4f00864fa935aee9b073b3bef9f740e48f42a12deb91a6facc370454ffe"),
+    ],
+)
+def test_parser_output_keeps_its_bytes(capsys, monkeypatch, argv, code, digest):
+    # sha256 of [exit code, stdout, stderr] at 80 columns, as printed when
+    # every command's arguments were built on each run: the top-level help
+    # and choices, each command's help, a missing required flag, a bad integer
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as raised:
+        main(argv.split())
+    out = capsys.readouterr()
+    assert raised.value.code == code
+    assert (out.out if code == 0 else out.err).startswith("usage: coloursym")
+    assert hashlib.sha256(json.dumps([code, out.out, out.err]).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -556,6 +556,14 @@ def test_saturate_refusal_sits_at_the_count_over_the_smallest_graph_it_grows_to(
             saturate(G, 2, 0)
 
 
+def test_the_deciding_sweep_stops_at_its_first_missing_query():
+    # from 2 vertices and 3 colours at a huge k, the deciding sweep over 11
+    # vertices has more than MAX_MISSING_QUERIES queries without a witness;
+    # the first of them decides the verdict, and the rest are never listed
+    H, achieved = saturate(random_graph(2, 3, 1), 10**11, 1, rounds=1)
+    assert (H.n, achieved) == (11, False)
+
+
 def test_saturate_stops_at_the_vertex_limit(monkeypatch):
     # saturate(random_graph(3, 3, 1), 2, 1) ends at 67 vertices
     expected, _ = saturate(random_graph(3, 3, 1), 2, 1)
