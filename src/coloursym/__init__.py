@@ -8,14 +8,12 @@ from .equivariant import (
     OrbitGraphSpec,
     PairColouring,
     action_vertex_perm,
-    add_witness_orbit,
     assemble_orbit_graph,
     build_pair_colouring,
     group_from_perms,
     make_orbit_spec,
     pair_colour,
     sym_complement,
-    trivial_group,
     verify_colour_group,
 )
 from .graphs import (
@@ -29,7 +27,6 @@ from .graphs import (
     find_witness,
     is_colour_consistent,
     random_graph,
-    recolour,
     saturate,
     witness_queries,
 )
@@ -55,8 +52,6 @@ from .spin import (
     order,
     order_rule_table,
     pin_mul,
-    project,
-    supplement_condition,
 )
 
 __version__ = "0.1.0"

@@ -252,7 +252,8 @@ def cmd_supplement(args: argparse.Namespace) -> RunReport:
             f"supplement lifts even m up to the limit of {DIRECT_LIFT_MAX_M}, got m={m}"
         )
     if m > COVER_ENUM_MAX_M:
-        # decide on the run's cover; report the other one only when it is blocked
+        # fixed-point-free involutions, products of m/2 disjoint transpositions, are all conjugate:
+        # one lift's order decides a cover; the other is reported only if the run's cover is blocked
         p = canonical_fpf_involution(m)
         other = CoverKind.HAT if kind is CoverKind.TILDE else CoverKind.TILDE
         for k in (kind, other):

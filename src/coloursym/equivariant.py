@@ -27,10 +27,9 @@ import numpy as np
 
 from .graphs import (
     ColouredGraph,
-    Query,
-    check_query,
     check_vertex_count,
     colour_lookup,
+    colour_stream,
     is_colour_consistent,
     load_json,
     row_blocks,
@@ -238,10 +237,6 @@ def group_from_perms(perms: Iterable[Perm]) -> FiniteGroup:
                     steps.append((y, x, g))
                     queue.append(y)
     return FiniteGroup(mul=cayley_table(right, steps), phi=tuple(ordering), proposed=tuple(labels))
-
-
-def trivial_group(m: int) -> FiniteGroup:
-    return group_from_perms([identity(m)])
 
 
 def symmetric_group(m: int) -> FiniteGroup:
@@ -473,9 +468,9 @@ def make_orbit_spec(
     if f.group is not G and not (np.array_equal(f.group.mul, G.mul) and f.group.phi == G.phi):
         raise ValueError("pair colouring was built over a different group")
     check_vertex_count(orbit_count * G.size)
-    rng = random.Random(f"orbit-spec:{seed}")
+    draw = colour_stream(random.Random(f"orbit-spec:{seed}"), G.m)
     inter = {
-        (i, j): tuple(rng.randrange(G.m) + 1 for _ in range(G.size))
+        (i, j): tuple(draw(G.size).tolist())
         for i in range(orbit_count)
         for j in range(i + 1, orbit_count)
     }
@@ -592,28 +587,6 @@ def verify_colour_group(spec: OrbitGraphSpec) -> ColourGroupReport:
         inconsistent=inconsistent,
         kernel=G.kernel(),
         graph=graph,
-    )
-
-
-def add_witness_orbit(spec: OrbitGraphSpec, q: Query) -> OrbitGraphSpec:
-    """Append one orbit whose identity vertex witnesses the query
-    q = (vertices, colours): its colour to vertices[i] is forced to
-    colours[i], all other new cross colours are seeded-random. Colours
-    between pre-existing vertices are untouched."""
-    G = spec.group
-    size = G.size
-    N = spec.orbit_count
-    check_vertex_count((N + 1) * size)
-    verts, colours = check_query(q, spec.vertex_count, G.m)
-    forced = {divmod(v, size): int(c) for v, c in zip(verts, colours)}
-    rng = random.Random(f"orbit-spec:{spec.seed}:{N}")
-    inter = dict(spec.inter)
-    for j in range(N):
-        inter[(j, N)] = tuple(
-            forced.get((j, x)) or rng.randrange(G.m) + 1 for x in range(size)
-        )
-    return OrbitGraphSpec(
-        colouring=spec.colouring, orbit_count=N + 1, inter=inter, seed=spec.seed
     )
 
 

@@ -4,7 +4,7 @@ Vertices are 0-based integers; colours are 1-based. Colours live in a
 dense symmetric matrix with a zero diagonal, so lookups are O(1) and the
 consistency checks below vectorise over whole graphs.
 
-The module covers three things: random generation and recolouring, the
+The module covers three things: seeded random generation, the
 witness/extension machinery (find_witness, missing_queries, saturate,
 embed, extend_iso) that makes finite graphs behave like the generic
 coloured graph up to a chosen query size, and the exhaustive checker
@@ -102,19 +102,6 @@ class ColouredGraph:
             C.flags.writeable = False
         object.__setattr__(self, "colours", C)
 
-    def colour_of(self, u: int, v: int) -> int:
-        if u == v:
-            raise ValueError("pairs are unordered pairs of distinct vertices")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"vertex out of range 0..{self.n - 1}")
-        return int(self.colours[u, v])
-
-    def pairs(self) -> Iterator[tuple[int, int, int]]:
-        """All (u, v, colour) with u < v."""
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                yield u, v, int(self.colours[u, v])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ColouredGraph):
             return NotImplemented
@@ -137,7 +124,7 @@ class ColouredGraph:
         yield f'], "m": {self.m}, "n": {self.n}}}'
 
     def dot_chunks(self) -> Iterator[str]:
-        """to_dot() in pieces: one line per vertex, then one per pair in blocks of rows."""
+        """The graph in DOT: one line per vertex, then one per pair in blocks of rows."""
         yield "graph coloured {\n"
         yield _text(_join(b"  ", (_digits(self.n), np.arange(self.n)), b";\n"))
         yield from self._pair_lines(b"  ", b" -- ", b" [color_index=", b"];\n")
@@ -184,9 +171,6 @@ class ColouredGraph:
     @classmethod
     def from_json(cls, text: str) -> "ColouredGraph":
         return cls.from_json_dict(load_json(text))
-
-    def to_dot(self) -> str:
-        return "".join(self.dot_chunks())
 
 
 def row_blocks(count: int, width: int, entries: Optional[int] = None) -> Iterator[slice]:
@@ -295,6 +279,8 @@ def colour_stream(rng: random.Random, m: int) -> Callable[[int], np.ndarray]:
     significant. Words are drawn in batches, and the values accepted but
     not yet returned wait for the next call; the stream must be rng's only
     reader."""
+    if m < 1:
+        raise ValueError(f"a colour stream draws from 1..m, and m = {m} leaves it empty")
     bits = m.bit_length()
     drawn = np.zeros(0, dtype=np.uint8)  # accepted, plus 1, not yet returned
 
@@ -325,13 +311,6 @@ def random_graph(n: int, m: int, seed: int) -> ColouredGraph:
         C[u, v] = C[v, u] = draw(len(u))
     C.flags.writeable = False
     return ColouredGraph(m=m, n=n, colours=C)
-
-
-def recolour(G: ColouredGraph, pi: Perm) -> ColouredGraph:
-    """Apply the colour permutation pi to every pair colour."""
-    if len(pi) != G.m:
-        raise ValueError(f"colour permutation degree {len(pi)} != palette {G.m}")
-    return ColouredGraph(m=G.m, n=G.n, colours=colour_lookup(pi)[G.colours])
 
 
 def colour_lookup(perms: Perm | Sequence[Perm]) -> np.ndarray:

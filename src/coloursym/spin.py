@@ -32,7 +32,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .perms import (
     fixed_points,
     from_cycles,
     identity,
-    is_perm,
     transposition,
 )
 
@@ -136,25 +135,11 @@ class PinElement:
             yield (mask, *coefficient(n, self.k))
 
 
-def _signed_blade(x: PinElement) -> Optional[tuple[int, int]]:
-    """(blade, n) when x is +1 or -1 times a single blade, else None."""
-    if x.k == 0 and len(x.coeffs) == 1 and x.coeffs[0][1] in (1, -1):
-        return x.coeffs[0]
-    return None
-
-
 def unit(sign: int, m: int, kind: CoverKind) -> PinElement:
     """The scalar +1 or -1."""
     if sign not in (1, -1):
         raise ValueError("unit takes sign +1 or -1")
     return PinElement(kind, m, 0, ((0, sign),))
-
-
-def basis_vector(i: int, m: int, kind: CoverKind) -> PinElement:
-    """The generator e_i."""
-    if not 1 <= i <= m:
-        raise ValueError(f"generator index {i} out of range 1..{m}")
-    return PinElement(kind, m, 0, ((1 << (i - 1), 1),))
 
 
 def pair_vector(a: int, b: int, m: int, kind: CoverKind) -> PinElement:
@@ -179,40 +164,6 @@ def pin_mul(a: PinElement, b: PinElement) -> PinElement:
 
 def pin_neg(x: PinElement) -> PinElement:
     return replace(x, coeffs=tuple((mask, -n) for mask, n in x.coeffs))
-
-
-def reversal(x: PinElement) -> PinElement:
-    """Reverse the generator order inside every blade: a size-s blade picks
-    up the sign (-1)^(s(s-1)/2), which is -1 exactly when s = 2, 3 (mod 4)."""
-    return replace(
-        x, coeffs=tuple((mask, -n if mask.bit_count() % 4 >= 2 else n) for mask, n in x.coeffs)
-    )
-
-
-def pin_inverse(x: PinElement) -> PinElement:
-    """Inverse of a unit product of vectors, via x * reversal(x) = +-1."""
-    rev = reversal(x)
-    term = _signed_blade(pin_mul(x, rev))
-    if term is None or term[0] != 0:
-        raise ValueError("element is not a unit product of vectors")
-    return rev if term[1] == 1 else pin_neg(rev)
-
-
-def project(x: PinElement) -> Perm:
-    """The permutation induced on the generators by conjugation: the image
-    of i is the j with x^-1 e_i x = +-e_j. Composing elements composes the
-    projections in the package's left-to-right order."""
-    inv_x = pin_inverse(x)
-    images = []
-    for i in range(1, x.m + 1):
-        term = _signed_blade(pin_mul(pin_mul(inv_x, basis_vector(i, x.m, x.kind)), x))
-        if term is None or term[0].bit_count() != 1:
-            raise ValueError("conjugate of a generator is not a signed generator")
-        images.append(term[0].bit_length())
-    p = tuple(images)
-    if not is_perm(p):
-        raise ValueError("conjugation does not permute the generators")
-    return p
 
 
 def order(x: PinElement) -> int:
@@ -249,8 +200,8 @@ class SpinCover:
     projection), the label of the central -1, and the algebra element
     behind every label as (sqrt 2)^(-exponents[g]) times the integers of
     the read-only int64 row rows[g] (column b holds blade b), in
-    PinElement's normal form. `elements` (the same elements as PinElements)
-    and `index` (their labels) are built on first read."""
+    PinElement's normal form. `elements`, the same elements as PinElements,
+    is built on first read."""
 
     kind: CoverKind
     m: int
@@ -265,10 +216,6 @@ class SpinCover:
             PinElement(self.kind, self.m, k, tuple((b, n) for b, n in enumerate(row) if n))
             for k, row in zip(self.exponents, self.rows.tolist())
         )
-
-    @functools.cached_property
-    def index(self) -> Mapping[PinElement, int]:
-        return {x: g for g, x in enumerate(self.elements)}
 
     def negate_label(self, g: int) -> int:
         return int(self.group.mul[self.neg_unit_label, g])
@@ -368,7 +315,7 @@ def enumerate_cover(m: int, kind: CoverKind) -> SpinCover:
     )
 
 
-# -- the order rule and the supplement condition ----------------------------
+# -- the order rule and the blocking involutions ----------------------------
 
 
 def predicted_lift_order(r: int, kind: CoverKind) -> int:
@@ -498,13 +445,3 @@ def blocking_involutions(cover: SpinCover) -> tuple[int, ...]:
     return tuple(
         g for g in cover.group.involutions() if phi[g] != ident and not fixed_points(phi[g])
     )
-
-
-def supplement_condition(m: int, kind: CoverKind) -> bool:
-    """Whether no order-2 element of the cover acts on the m colours without
-    a fixed colour. For odd m every involution fixes a colour. For even m the
-    fixed-point-free involutions are exactly the products of m/2 disjoint
-    transpositions, all conjugate, so the cover passes iff their lifts have
-    order 4; one lift order of the canonical one decides it, for every m up
-    to DIRECT_LIFT_MAX_M, without enumerating the cover."""
-    return m % 2 == 1 or lift_orders(canonical_fpf_involution(m), kind)[0] == 4

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Optional
+from dataclasses import replace
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -21,7 +22,10 @@ from coloursym.graphs import (
     ObstructionCitation,
     ObstructionReport,
     PartialIso,
+    Query,
+    check_query,
     check_vertex_count,
+    colour_lookup,
     extend_iso,
     graph_from_edges,
     is_colour_consistent,
@@ -35,8 +39,11 @@ from coloursym.perms import (
     cycles,
     enumerate_sym,
     fixed_points,
+    identity,
     is_involution,
+    is_perm,
 )
+from coloursym.spin import CoverKind, PinElement, SpinCover, pin_mul, pin_neg
 
 
 def bad_queries(n: int, m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -88,16 +95,73 @@ def saturate_by_full_sweeps(
     return G, not missing
 
 
+# -- graphs, read pair by pair ------------------------------------------------
+
+
+def colour_of(G: ColouredGraph, u: int, v: int) -> int:
+    """The colour of the pair {u, v} of distinct vertices."""
+    if u == v:
+        raise ValueError("pairs are unordered pairs of distinct vertices")
+    if not (0 <= u < G.n and 0 <= v < G.n):
+        raise ValueError(f"vertex out of range 0..{G.n - 1}")
+    return int(G.colours[u, v])
+
+
+def graph_pairs(G: ColouredGraph) -> Iterator[tuple[int, int, int]]:
+    """All (u, v, colour) with u < v."""
+    for u in range(G.n):
+        for v in range(u + 1, G.n):
+            yield u, v, int(G.colours[u, v])
+
+
+def to_dot(G: ColouredGraph) -> str:
+    """The DOT text that `gen-random --dot` writes."""
+    return "".join(G.dot_chunks())
+
+
 def dot_by_pairs(G: ColouredGraph) -> str:
-    """to_dot() one line at a time from pairs()."""
+    """to_dot() one line at a time from graph_pairs()."""
     lines = ["graph coloured {"]
     lines += [f"  {v};" for v in range(G.n)]
-    lines += [f"  {u} -- {v} [color_index={c}];" for u, v, c in G.pairs()]
+    lines += [f"  {u} -- {v} [color_index={c}];" for u, v, c in graph_pairs(G)]
     return "\n".join(lines + ["}"]) + "\n"
+
+
+def recolour(G: ColouredGraph, pi: Perm) -> ColouredGraph:
+    """Apply the colour permutation pi to every pair colour."""
+    if len(pi) != G.m:
+        raise ValueError(f"colour permutation degree {len(pi)} != palette {G.m}")
+    return ColouredGraph(m=G.m, n=G.n, colours=colour_lookup(pi)[G.colours])
 
 
 def sym_group(m: int) -> FiniteGroup:
     return group_from_perms(enumerate_sym(m))
+
+
+def trivial_group(m: int) -> FiniteGroup:
+    return group_from_perms([identity(m)])
+
+
+def add_witness_orbit(spec: OrbitGraphSpec, q: Query) -> OrbitGraphSpec:
+    """Append one orbit whose identity vertex witnesses the query
+    q = (vertices, colours): its colour to vertices[i] is forced to
+    colours[i], all other new cross colours are seeded-random. Colours
+    between pre-existing vertices are untouched."""
+    G = spec.group
+    size = G.size
+    N = spec.orbit_count
+    check_vertex_count((N + 1) * size)
+    verts, colours = check_query(q, spec.vertex_count, G.m)
+    forced = {divmod(v, size): int(c) for v, c in zip(verts, colours)}
+    rng = random.Random(f"orbit-spec:{spec.seed}:{N}")
+    inter = dict(spec.inter)
+    for j in range(N):
+        inter[(j, N)] = tuple(
+            forced.get((j, x)) or rng.randrange(G.m) + 1 for x in range(size)
+        )
+    return OrbitGraphSpec(
+        colouring=spec.colouring, orbit_count=N + 1, inter=inter, seed=spec.seed
+    )
 
 
 def back_and_forth(
@@ -196,3 +260,59 @@ def obstruction_by_full_checks(G: ColouredGraph) -> ObstructionReport:
         consistent_pairs=tuple(consistent),
         citations=tuple(citations),
     )
+
+
+# -- the Clifford algebra, read back ------------------------------------------
+
+
+def basis_vector(i: int, m: int, kind: CoverKind) -> PinElement:
+    """The generator e_i."""
+    if not 1 <= i <= m:
+        raise ValueError(f"generator index {i} out of range 1..{m}")
+    return PinElement(kind, m, 0, ((1 << (i - 1), 1),))
+
+
+def signed_blade(x: PinElement) -> Optional[tuple[int, int]]:
+    """(blade, n) when x is +1 or -1 times a single blade, else None."""
+    if x.k == 0 and len(x.coeffs) == 1 and x.coeffs[0][1] in (1, -1):
+        return x.coeffs[0]
+    return None
+
+
+def reversal(x: PinElement) -> PinElement:
+    """Reverse the generator order inside every blade: a size-s blade picks
+    up the sign (-1)^(s(s-1)/2), which is -1 exactly when s = 2, 3 (mod 4)."""
+    return replace(
+        x, coeffs=tuple((mask, -n if mask.bit_count() % 4 >= 2 else n) for mask, n in x.coeffs)
+    )
+
+
+def pin_inverse(x: PinElement) -> PinElement:
+    """Inverse of a unit product of vectors, via x * reversal(x) = +-1."""
+    rev = reversal(x)
+    term = signed_blade(pin_mul(x, rev))
+    if term is None or term[0] != 0:
+        raise ValueError("element is not a unit product of vectors")
+    return rev if term[1] == 1 else pin_neg(rev)
+
+
+def project(x: PinElement) -> Perm:
+    """The permutation induced on the generators by conjugation: the image
+    of i is the j with x^-1 e_i x = +-e_j. Composing elements composes the
+    projections in the package's left-to-right order."""
+    inv_x = pin_inverse(x)
+    images = []
+    for i in range(1, x.m + 1):
+        term = signed_blade(pin_mul(pin_mul(inv_x, basis_vector(i, x.m, x.kind)), x))
+        if term is None or term[0].bit_count() != 1:
+            raise ValueError("conjugate of a generator is not a signed generator")
+        images.append(term[0].bit_length())
+    p = tuple(images)
+    if not is_perm(p):
+        raise ValueError("conjugation does not permute the generators")
+    return p
+
+
+def cover_index(cover: SpinCover) -> dict[PinElement, int]:
+    """The label of every element of an enumerated cover."""
+    return {x: g for g, x in enumerate(cover.elements)}

@@ -2,6 +2,7 @@ import copy
 import functools
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from coloursym.equivariant import (
     OrbitGraphSpec,
     PairColouring,
     action_vertex_perm,
-    add_witness_orbit,
     assemble_orbit_graph,
     build_pair_colouring,
     cayley_table,
@@ -28,7 +28,6 @@ from coloursym.equivariant import (
     pair_colour_matrix,
     sym_complement,
     symmetric_group,
-    trivial_group,
     verify_colour_group,
 )
 from coloursym.graphs import (
@@ -50,12 +49,16 @@ from coloursym.perms import (
 from coloursym.spin import CoverKind, enumerate_cover, pin_mul
 
 from helpers import (
+    add_witness_orbit,
     associative_on_all_triples,
     bad_queries,
+    colour_of,
+    graph_pairs,
     inconsistent_elements,
     phi_homomorphic_on_all_pairs,
     sym_group,
     table_from_all_products,
+    trivial_group,
 )
 
 
@@ -353,6 +356,24 @@ def test_make_orbit_spec_deterministic():
     assert make_sym3_spec(3, 5).inter == make_sym3_spec(3, 5).inter
 
 
+def test_make_orbit_spec_draws_what_randrange_draws():
+    # one colour stream gives rng.randrange(m) + 1 per value, map by map in (i, j) order
+    for G in (sym_group(3), enumerate_cover(4, CoverKind.HAT).group):
+        spec = make_orbit_spec(G, build_pair_colouring(G, 2), 3, 2)
+        rng = random.Random("orbit-spec:2")
+        assert spec.inter == {
+            (i, j): tuple(rng.randrange(G.m) + 1 for _ in range(G.size))
+            for i in range(3)
+            for j in range(i + 1, 3)
+        }
+
+
+def test_make_orbit_spec_refuses_a_group_without_colours():
+    G = FiniteGroup(mul=np.zeros((1, 1), dtype=np.int32), phi=((),))
+    with pytest.raises(ValueError, match="m = 0"):
+        make_orbit_spec(G, build_pair_colouring(G, 0), 2, 0)
+
+
 def test_make_orbit_spec_compares_groups_by_table_and_action():
     f = build_pair_colouring(sym_group(3), 0)
     assert make_orbit_spec(sym_group(3), f, 2, 0).inter == make_sym3_spec(2).inter
@@ -369,7 +390,7 @@ def test_assemble_intra_orbit_base_colours():
     graph = assemble_orbit_graph(spec)
     f = spec.colouring
     for y in range(1, 6):
-        assert graph.colour_of(0, y) == f.base[y]
+        assert colour_of(graph, 0, y) == f.base[y]
 
 
 def test_assemble_inter_orbit_identity_column():
@@ -377,13 +398,13 @@ def test_assemble_inter_orbit_identity_column():
     graph = assemble_orbit_graph(spec)
     b = spec.inter[(0, 1)]
     for y in range(6):
-        assert graph.colour_of(y, 6) == b[y]  # vertex 6 is the identity of orbit 1
+        assert colour_of(graph, y, 6) == b[y]  # vertex 6 is the identity of orbit 1
 
 
 def test_assemble_sym3_three_orbits():
     graph = assemble_orbit_graph(make_sym3_spec(3))
     assert graph.n == 18
-    pairs = list(graph.pairs())
+    pairs = list(graph_pairs(graph))
     assert len(pairs) == 153
     assert all(1 <= c <= 3 for _, _, c in pairs)
 
@@ -642,7 +663,7 @@ def test_add_witness_orbit_forces_colours():
     x = 4
     grown = add_witness_orbit(spec, ((x,), (1,)))
     graph = assemble_orbit_graph(grown)
-    assert graph.colour_of(x, 6) == 1  # vertex 6 is the new orbit's identity
+    assert colour_of(graph, x, 6) == 1  # vertex 6 is the new orbit's identity
 
 
 def test_add_witness_orbit_preserves_existing_colours():

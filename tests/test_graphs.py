@@ -26,7 +26,6 @@ from coloursym.graphs import (
     is_colour_consistent,
     missing_queries,
     random_graph,
-    recolour,
     row_blocks,
     saturate,
     validate_partial_iso,
@@ -46,10 +45,14 @@ from coloursym.perms import (
 from helpers import (
     all_two_colourings,
     bad_queries,
+    colour_of,
     dot_by_pairs,
+    graph_pairs,
     obstruction_by_full_checks,
     random_graph_by_pairs,
+    recolour,
     saturate_by_full_sweeps,
+    to_dot,
 )
 
 
@@ -62,13 +65,13 @@ def single_edge(c: int, m: int = 2) -> ColouredGraph:
 
 def test_random_graph_empty():
     G = random_graph(0, 3, 0)
-    assert G.n == 0 and list(G.pairs()) == []
+    assert G.n == 0 and list(graph_pairs(G)) == []
 
 
 def test_random_graph_single_edge():
     G = random_graph(2, 5, 123)
-    assert 1 <= G.colour_of(0, 1) <= 5
-    assert G.colour_of(0, 1) == G.colour_of(1, 0)
+    assert 1 <= colour_of(G, 0, 1) <= 5
+    assert colour_of(G, 0, 1) == colour_of(G, 1, 0)
 
 
 def test_random_graph_deterministic():
@@ -94,6 +97,12 @@ def test_colour_stream_returns_successive_randrange_draws(m):
         values = draw(count)
         assert values.dtype == np.uint8
         assert values.tolist() == [rng.randrange(m) + 1 for _ in range(count)], (m, count)
+
+
+def test_colour_stream_refuses_an_empty_palette():
+    # randrange(0) has nothing to return; draw would divide by m
+    with pytest.raises(ValueError, match="m = 0"):
+        colour_stream(random.Random(0), 0)
 
 
 def test_random_graph_rejects_tiny_palette():
@@ -125,7 +134,7 @@ def test_recolour_identity():
 
 def test_recolour_single_edge():
     G = single_edge(1)
-    assert recolour(G, (2, 1)).colour_of(0, 1) == 2
+    assert colour_of(recolour(G, (2, 1)), 0, 1) == 2
 
 
 def test_recolour_inverse_law():
@@ -596,7 +605,7 @@ def test_embed_single_edge(saturated_pair):
     for c in (1, 2, 3):
         H = graph_from_edges(3, 2, [[0, 1, c]])
         u, v = embed(H, A)
-        assert A.colour_of(u, v) == c
+        assert colour_of(A, u, v) == c
 
 
 def test_embed_triangle(saturated_pair):
@@ -604,8 +613,8 @@ def test_embed_triangle(saturated_pair):
     H = graph_from_edges(3, 3, [[0, 1, 1], [0, 2, 2], [1, 2, 3]])
     images = embed(H, A)
     assert len(set(images)) == 3
-    for u, v, c in H.pairs():
-        assert A.colour_of(images[u], images[v]) == c
+    for u, v, c in graph_pairs(H):
+        assert colour_of(A, images[u], images[v]) == c
 
 
 def test_embed_raises_when_unsaturated():
@@ -642,7 +651,7 @@ def test_extend_iso_respects_colours(saturated_pair):
     A, B = saturated_pair
     p = extend_iso(A, B, PartialIso(((0, 0),)), 1)
     w = p.as_dict()[1]
-    assert B.colour_of(0, w) == A.colour_of(0, 1)
+    assert colour_of(B, 0, w) == colour_of(A, 0, 1)
 
 
 def test_extend_iso_rejects_mapped_vertex(saturated_pair):
@@ -671,7 +680,7 @@ def test_to_json_dict_matches_the_pairs_loop():
     # 10, 100 and 1000 are where vertex ids and colours gain a digit
     for n, m in [(0, 2), (1, 2), (2, 2), (37, 4), (221, 3), (300, 5)] + DIGIT_EDGES:
         G = random_graph(n, m, 11)
-        looped = {"m": m, "n": n, "colours": [[u, v, c] for u, v, c in G.pairs()]}
+        looped = {"m": m, "n": n, "colours": [[u, v, c] for u, v, c in graph_pairs(G)]}
         assert G.to_json() == json.dumps(looped, sort_keys=True) + "\n"
         assert G.to_json_dict() == looped
 
@@ -702,7 +711,7 @@ def test_small_graphs_take_small_blocks():
     tracemalloc.start()
     try:
         G = random_graph(3, 3, 0)
-        G.to_json(), G.to_dot()
+        G.to_json(), to_dot(G)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -855,17 +864,17 @@ def test_json_reader_contract(document, n, m, seed, data):
 def test_to_dot_matches_the_pairs_loop():
     for n, m in [(0, 2), (1, 2), (2, 3)] + DIGIT_EDGES:
         G = random_graph(n, m, 5)
-        assert G.to_dot() == dot_by_pairs(G), (n, m)
+        assert to_dot(G) == dot_by_pairs(G), (n, m)
 
 
 def test_dot_export():
     G = graph_from_edges(3, 3, [[0, 1, 2], [0, 2, 1], [1, 2, 3]])
-    dot = G.to_dot()
+    dot = to_dot(G)
     assert dot.startswith("graph coloured {")
     assert "0 -- 1 [color_index=2];" in dot
     assert "1 -- 2 [color_index=3];" in dot
     empty = ColouredGraph(m=2, n=0, colours=np.zeros((0, 0), dtype=np.int32))
-    assert empty.to_dot() == "graph coloured {\n}\n"
+    assert to_dot(empty) == "graph coloured {\n}\n"
 
 
 def test_graph_constructor_validation():
@@ -889,7 +898,7 @@ def test_graph_constructor_validation():
         with pytest.raises(ValueError, match="palette size"):
             ColouredGraph(m=m, n=0, colours=np.zeros((0, 0), dtype=np.int32))
     G = ColouredGraph(m=2, n=2, colours=np.array([[0, 2], [2, 0]], dtype=np.uint64))
-    assert G.colours.dtype == np.uint8 and G.colour_of(0, 1) == 2
+    assert G.colours.dtype == np.uint8 and colour_of(G, 0, 1) == 2
     assert ColouredGraph(m=graphs.MAX_PALETTE, n=0, colours=np.zeros((0, 0), dtype=np.int8)).n == 0
 
 
@@ -904,13 +913,13 @@ def test_colours_are_checked_before_they_narrow_to_uint8():
         assert np.array_equal(C, kept) and C.dtype == np.int64 and C.flags.writeable
     C = np.array([[0, top], [top, 0]], dtype=np.int64)
     G = ColouredGraph(m=top, n=2, colours=C)
-    assert G.colours.dtype == np.uint8 and G.colour_of(0, 1) == top
+    assert G.colours.dtype == np.uint8 and colour_of(G, 0, 1) == top
     assert C.dtype == np.int64 and C.flags.writeable and not G.colours.flags.writeable
     # a writable uint8 matrix is copied, so writing it later leaves the graph alone
     D = np.array([[0, 1], [1, 0]], dtype=np.uint8)
     H = ColouredGraph(m=2, n=2, colours=D)
     D[0, 1] = D[1, 0] = 2
-    assert D.flags.writeable and H.colour_of(0, 1) == 1
+    assert D.flags.writeable and colour_of(H, 0, 1) == 1
 
 
 def test_row_blocks_cover_every_row_once_in_order(monkeypatch):

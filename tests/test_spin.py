@@ -21,28 +21,31 @@ from coloursym.spin import (
     CoverKind,
     PinElement,
     SpinCover,
-    basis_vector,
     blade_mul,
     blocking_involutions,
     canonical_fpf_involution,
     coefficient,
     enumerate_cover,
     lift,
+    lift_orders,
     order,
     order_rule_table,
     pair_vector,
-    pin_inverse,
     pin_mul,
     pin_neg,
     predicted_lift_order,
-    project,
-    reversal,
-    supplement_condition,
     transposition_product,
     unit,
 )
 
-from helpers import associative_on_all_triples, phi_homomorphic_on_all_pairs
+from helpers import (
+    associative_on_all_triples,
+    cover_index,
+    phi_homomorphic_on_all_pairs,
+    pin_inverse,
+    project,
+    reversal,
+)
 
 TILDE, HAT = CoverKind.TILDE, CoverKind.HAT
 
@@ -378,10 +381,11 @@ def test_cover_two_lifts_per_permutation():
         for g in range(cover.group.size):
             counts[cover.group.phi[g]] = counts.get(cover.group.phi[g], 0) + 1
         assert set(counts.values()) == {2}
+        index = cover_index(cover)
         for p in enumerate_sym(3):
             x = lift(p, kind)
-            lbl = cover.index.get(x)
-            neg_lbl = cover.index.get(pin_neg(x))
+            lbl = index.get(x)
+            neg_lbl = index.get(pin_neg(x))
             assert lbl is not None and neg_lbl is not None
             assert cover.negate_label(lbl) == neg_lbl
 
@@ -520,13 +524,20 @@ def test_order_rule_table_mode_validation():
 # -- the supplement condition ------------------------------------------------------------
 
 
+def cli_supplement_rule(m: int, kind: CoverKind) -> bool:
+    """The decision `supplement` makes above the enumeration limit: odd m
+    passes, and even m passes when the lift of (1 2)(3 4)...(m-1 m) has
+    order 4."""
+    return m % 2 == 1 or lift_orders(canonical_fpf_involution(m), kind)[0] == 4
+
+
 def test_supplement_condition_small_cases():
-    assert supplement_condition(2, TILDE)
-    assert not supplement_condition(2, HAT)
-    assert supplement_condition(4, TILDE)
-    assert supplement_condition(4, HAT)
-    assert not supplement_condition(6, TILDE)
-    assert supplement_condition(6, HAT)
+    assert cli_supplement_rule(2, TILDE)
+    assert not cli_supplement_rule(2, HAT)
+    assert cli_supplement_rule(4, TILDE)
+    assert cli_supplement_rule(4, HAT)
+    assert not cli_supplement_rule(6, TILDE)
+    assert cli_supplement_rule(6, HAT)
 
 
 def test_blocking_involutions_cycle_type():
@@ -538,16 +549,16 @@ def test_blocking_involutions_cycle_type():
 
 
 def test_supplement_condition_direct_agrees_with_enumeration():
-    # the lift-order decision against a scan of every involution of the cover
+    # the CLI's lift-order decision against a scan of every involution of the cover
     for m in (2, 3, 4, 5, 6):
         for kind in (TILDE, HAT):
             expected = not blocking_involutions(enumerate_cover(m, kind))
-            assert supplement_condition(m, kind) == expected
+            assert cli_supplement_rule(m, kind) == expected
 
 
 def test_supplement_condition_direct_m8_blocked_both():
-    assert not supplement_condition(8, TILDE)
-    assert not supplement_condition(8, HAT)
+    assert not cli_supplement_rule(8, TILDE)
+    assert not cli_supplement_rule(8, HAT)
 
 
 def test_canonical_fpf_involution():
