@@ -139,9 +139,6 @@ class FiniteGroup:
         ident = identity(self.m)
         return tuple(g for g in range(self.size) if self.phi[g] == ident)
 
-    def __repr__(self) -> str:
-        return f"FiniteGroup(size={self.size}, m={self.m})"
-
     def to_json_dict(self) -> dict:
         return {
             "size": self.size,

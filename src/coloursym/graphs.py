@@ -6,10 +6,10 @@ consistency checks below vectorise over whole graphs.
 
 The module covers three things: seeded random generation, the
 witness/extension machinery (find_witness, missing_queries, saturate,
-embed, extend_iso) that makes finite graphs behave like the generic
-coloured graph up to a chosen query size, and the exhaustive checker
-showing that no vertex permutation with a 2-cycle can induce a
-fixed-point-free involution of the colours.
+extend_iso) that makes finite graphs behave like the generic coloured
+graph up to a chosen query size, and the exhaustive checker showing that
+no vertex permutation with a 2-cycle can induce a fixed-point-free
+involution of the colours.
 
 A witness query is a pair (vertices, colours) of equal-length sequences:
 distinct vertices, each given a colour. Its witnesses are the vertices
@@ -110,9 +110,6 @@ class ColouredGraph:
             and self.n == other.n
             and np.array_equal(self.colours, other.colours)
         )
-
-    def __repr__(self) -> str:
-        return f"ColouredGraph(m={self.m}, n={self.n})"
 
     # -- serialization ----------------------------------------------------
 
@@ -538,24 +535,6 @@ def saturate(
         since, n = n, v
     H = G if n == G.n else ColouredGraph(m=m, n=n, colours=D[:n, :n])  # checked once, at the end
     return H, first is None
-
-
-def embed(H: ColouredGraph, G: ColouredGraph) -> tuple[int, ...]:
-    """Colour-preserving injection of H's vertices into G, built greedily:
-    vertex v of H goes to the witness for the colours of its edges back to
-    the already-placed vertices. Raises WitnessMissingError if G is not
-    saturated enough."""
-    if H.m != G.m:
-        raise ValueError("palette sizes differ")
-    images: list[int] = []
-    for v in range(H.n):
-        w = find_witness(G, (images, H.colours[:v, v]))
-        if w is None:
-            raise WitnessMissingError(
-                f"no witness while placing vertex {v}; saturate the target further"
-            )
-        images.append(w)
-    return tuple(images)
 
 
 @dataclass(frozen=True)

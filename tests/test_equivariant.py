@@ -170,6 +170,7 @@ def test_constructor_rejects_a_phi_that_is_not_a_homomorphism():
 def test_finite_group_derives_size_m_inverses_and_generators():
     G = sym_group(3)
     assert (G.size, G.m) == (6, 3)
+    assert repr(G) == "FiniteGroup(size=6, m=3)"  # no table in the repr
     # labels 2 and 3 are (1 2) and (1 2 3); the greedy rule alone picks 1 and 2
     assert G.gens == G.proposed == generators(G.mul, G.proposed) == (2, 3)
     assert generators(G.mul) == (1, 2)

@@ -19,7 +19,6 @@ from coloursym.graphs import (
     check_no_fpf_colour_involution,
     colour_lookup,
     colour_stream,
-    embed,
     extend_iso,
     find_witness,
     graph_from_edges,
@@ -594,24 +593,32 @@ def saturated_pair():
     return A, B
 
 
+def place(H, A):
+    """H's vertices 0..n-1 placed in A by forth steps from the empty map."""
+    p = PartialIso()
+    for v in range(H.n):
+        p = extend_iso(H, A, p, v)
+    return tuple(w for _, w in p.pairs)
+
+
 def test_embed_empty(saturated_pair):
     A, _ = saturated_pair
     empty = ColouredGraph(m=3, n=0, colours=np.zeros((0, 0), dtype=np.int32))
-    assert embed(empty, A) == ()
+    assert place(empty, A) == ()
 
 
 def test_embed_single_edge(saturated_pair):
     A, _ = saturated_pair
     for c in (1, 2, 3):
         H = graph_from_edges(3, 2, [[0, 1, c]])
-        u, v = embed(H, A)
+        u, v = place(H, A)
         assert colour_of(A, u, v) == c
 
 
 def test_embed_triangle(saturated_pair):
     A, _ = saturated_pair
     H = graph_from_edges(3, 3, [[0, 1, 1], [0, 2, 2], [1, 2, 3]])
-    images = embed(H, A)
+    images = place(H, A)
     assert len(set(images)) == 3
     for u, v, c in graph_pairs(H):
         assert colour_of(A, images[u], images[v]) == c
@@ -621,7 +628,9 @@ def test_embed_raises_when_unsaturated():
     target = single_edge(1, m=2)
     H = graph_from_edges(2, 3, [[0, 1, 1], [0, 2, 2], [1, 2, 2]])
     with pytest.raises(WitnessMissingError):
-        embed(H, target)
+        place(H, target)
+    with pytest.raises(ValueError, match="palette sizes differ"):
+        place(graph_from_edges(3, 2, [[0, 1, 3]]), target)
 
 
 def test_partial_iso_validation():
@@ -899,6 +908,7 @@ def test_graph_constructor_validation():
             ColouredGraph(m=m, n=0, colours=np.zeros((0, 0), dtype=np.int32))
     G = ColouredGraph(m=2, n=2, colours=np.array([[0, 2], [2, 0]], dtype=np.uint64))
     assert G.colours.dtype == np.uint8 and colour_of(G, 0, 1) == 2
+    assert repr(G) == "ColouredGraph(m=2, n=2)"  # the matrix stays out of the repr
     assert ColouredGraph(m=graphs.MAX_PALETTE, n=0, colours=np.zeros((0, 0), dtype=np.int8)).n == 0
 
 
