@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -19,8 +19,6 @@ from coloursym.equivariant import (
 from coloursym.graphs import (
     MAX_VERTICES,
     ColouredGraph,
-    ObstructionCitation,
-    ObstructionReport,
     PartialIso,
     Query,
     check_query,
@@ -226,10 +224,35 @@ def phi_homomorphic_on_all_pairs(mul: np.ndarray, phi) -> bool:
     )
 
 
-def obstruction_by_full_checks(G: ColouredGraph) -> ObstructionReport:
-    """check_no_fpf_colour_involution with a full is_colour_consistent run
-    on every pair, each inconsistent pair cited by the first 2-cycle whose
-    edge colour the colour involution moves."""
+@dataclass(frozen=True)
+class ObstructionCitation:
+    """Why one (vertex perm, colour involution) pair fails: s fixes the edge
+    {u, v} setwise, but pi moves its colour."""
+
+    vertex_perm: Perm
+    colour_perm: Perm
+    edge: tuple[int, int]
+    colour: int
+    image_colour: int
+
+
+@dataclass(frozen=True)
+class PairChecks:
+    """Every vertex permutation with a 2-cycle against every fixed-point-free
+    colour involution, each pair checked in full."""
+
+    vertex_perm_count: int
+    colour_involution_count: int
+    pairs_checked: int
+    consistent_pairs: tuple[tuple[Perm, Perm], ...]
+    citations: tuple[ObstructionCitation, ...]
+
+
+def obstruction_by_full_checks(G: ColouredGraph) -> PairChecks:
+    """What check_no_fpf_colour_involution decides by its argument, checked
+    pair by pair: a full is_colour_consistent run on every pair, each
+    inconsistent pair cited by the first 2-cycle whose edge colour the
+    colour involution moves."""
     fpf_involutions = [
         pi for pi in enumerate_sym(G.m) if is_involution(pi) and not fixed_points(pi)
     ]
@@ -251,9 +274,7 @@ def obstruction_by_full_checks(G: ColouredGraph) -> ObstructionReport:
                 if image != c:
                     citations.append(ObstructionCitation(s, pi, (u, v), c, image))
                     break
-    return ObstructionReport(
-        m=G.m,
-        n=G.n,
+    return PairChecks(
         vertex_perm_count=len(vertex_perms),
         colour_involution_count=len(fpf_involutions),
         pairs_checked=len(vertex_perms) * len(fpf_involutions),

@@ -29,10 +29,10 @@ from coloursym.graphs import (
     saturate,
     witness_queries,
 )
-from coloursym.perms import apply, double_coset_lower_bound, enumerate_sym
+from coloursym.perms import apply, double_coset_lower_bound
 from coloursym.spin import CoverKind, order_rule_table
 
-from helpers import all_two_colourings, back_and_forth, sym_group
+from helpers import all_two_colourings, back_and_forth, obstruction_by_full_checks, sym_group
 
 
 @contextmanager
@@ -104,11 +104,14 @@ def test_criterion_3_even_palette_obstruction():
                 for seed in range(50):
                     report = check_no_fpf_colour_involution(random_graph(n, m, seed))
                     assert report.passed
-                    assert len(report.citations) == report.pairs_checked
+                    full = obstruction_by_full_checks(random_graph(n, m, seed))
+                    assert not full.consistent_pairs and len(full.citations) == full.pairs_checked
         # every 2-colouring outright, up to five vertices
         for n in range(6):
             for G2 in all_two_colourings(n):
                 assert check_no_fpf_colour_involution(G2).passed
+                full = obstruction_by_full_checks(G2)
+                assert not full.consistent_pairs and len(full.citations) == full.pairs_checked
 
 
 def test_criterion_4_double_cover_order_rule():

@@ -138,12 +138,55 @@ def test_complement_writes_assembled_graph(tmp_path, capsys):
     assert path.read_text() == json.dumps(doc, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("m", ["8", "9"])
+@pytest.mark.parametrize("m", ["9"])
 def test_complement_above_the_sym_cap_is_a_one_line_error(capsys, m):
     code, out, err = run(capsys, "complement", "--m", m)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "m, pairs",
+    [(2, "(1 2)"), (4, "(1 2)(3 4)"), (6, "(1 2)(3 4)(5 6)"), (8, "(1 2)(3 4)(5 6)(7 8)"),
+     (254, "".join(f"({i} {i + 1})" for i in range(1, 254, 2)))],
+    ids=["2", "4", "6", "8", "254"],
+)
+def test_complement_even_m_names_a_fixed_point_free_witness(capsys, m, pairs):
+    # even m is decided for every palette, with the same witness for every seed
+    for seed in ("0", "5"):
+        code, doc = run_json(capsys, "complement", "--m", str(m), "--seed", seed)
+        assert code == 0 and doc["passed"]
+        assert doc["assertions"][0] == {
+            "name": "obstruction-witness",
+            "passed": True,
+            "detail": f"no pair colouring exists: involution acting as {pairs} fixes no colour",
+        }
+
+
+def test_complement_even_m_builds_no_group(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a group was built")
+
+    for work in ("symmetric_group", "group_from_perms"):
+        monkeypatch.setattr(equivariant, work, never)
+    code, doc = run_json(capsys, "complement", "--m", "4")
+    assert code == 0 and doc["passed"]
+
+
+@pytest.mark.parametrize("command", [["complement"], ["supplement", "--cover", "hat"]])
+@pytest.mark.parametrize("m", [0, 1, 256, 10**20 - 1, 10**20])
+def test_palette_outside_2_to_255_is_refused_before_any_work(capsys, monkeypatch, command, m):
+    # odd supplement above m = 6 enumerates nothing, so only this bound refuses it
+    def never(*args, **kwargs):
+        raise AssertionError("work ran before the palette was checked")
+
+    for work in ("sym_complement", "check_no_fpf_colour_involution", "canonical_fpf_involution",
+                 "enumerate_cover", "lift_orders"):
+        monkeypatch.setattr(cli, work, never)
+    code, out, err = run(capsys, command[0], "--m", str(m), *command[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: palette size {m} is outside the limits 2..{graphs.MAX_PALETTE}\n"
 
 
 @pytest.mark.parametrize(
@@ -208,7 +251,7 @@ def test_seeded_out_files_keep_their_bytes(tmp_path, capsys, argv, digest):
          "c300d21e7d93ca672d9dab58c76c5b5cdf076acdde27b377ef10059c80526e35",
          "8ece3e55ead53ef2779d635e3e0e3027fa64fb9b244e3498a3c0472e662b003d"),
         (["complement", "--m", "4"], None, 0,
-         "c5d7a1c83137447f6a988ea9ae5ef07383766506954eee83e20149d891bfa97e", None),
+         "d1e69ea69dddf1e396b7d6d1b11626aa42e6be2c73fbf85bdb41ca120c7e09fa", None),
         (["saturate", "--in", "in.json", "--k", "2", "--seed", "1", "--out", "out.json"], 1, 0,
          "469cf1e49ee74aa497f2a6103453a1d158f5d1e73343abaaa0c622d2d0dd21a3",
          "20d5cb0c972940cb2a2097a501c47ba75b23c0ed32e45d10b88ee2a16193457e"),
@@ -620,7 +663,7 @@ def test_a_graph_pipe_is_read_no_further_than_the_byte_limit(tmp_path, capsys):
     [
         pytest.param(["supplement", "--m", "7", "--cover", "hat"], "lift_orders", id="supplement-m7"),
         pytest.param(["supplement", "--m", "10", "--cover", "tilde"], "lift_orders", id="supplement-m10"),
-        pytest.param(["complement", "--m", "4"], "symmetric_group", id="complement-m4"),
+        pytest.param(["complement", "--m", "4"], "check_no_fpf_colour_involution", id="complement-m4"),
     ],
 )
 def test_out_is_refused_where_no_graph_is_built(tmp_path, capsys, monkeypatch, argv, work):
@@ -693,7 +736,7 @@ def test_every_subcommand_has_a_branch_here():
 @pytest.mark.parametrize(
     "argv, code, digest",
     [
-        ("-h", 0, "d10b5e2d524258a4192f8b49a5f828386f16187641302fba9a1d2ad7edf3f122"),
+        ("-h", 0, "e3ef47db24ac562d41327ac0c497193dca821555034e3d6135543248067eb3cb"),
         ("nope", 2, "142d85206658f3a4fe156c98a02d5a15eb74b5db22c05496676a2924493c9ab5"),
         ("gen-random -h", 0, "51bb2709d15af0134d6de666fcf6ab0e4e4538df51309e193dbc17641c2475e3"),
         ("complement -h", 0, "0a3fd45d4e133070be5deaf4faac2233ce761ba70a967374074c826cedfd53d8"),
@@ -741,7 +784,7 @@ def test_each_branch_reads_or_refuses_each_optional_flag(tmp_path, capsys, monke
         def never(*args, **kwargs):
             raise AssertionError(f"work ran before {flag} was refused")
 
-        for work in ("lift_orders", "symmetric_group", "enumerate_cover"):
+        for work in ("lift_orders", "check_no_fpf_colour_involution", "enumerate_cover"):
             monkeypatch.setattr(cli, work, never)
         code, out, err = run(capsys, *BRANCHES[branch], *extra, "--json")
         assert (code, out) == (2, "")

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coloursym import graphs
+from coloursym.cli import main
 from coloursym.graphs import (
     ColouredGraph,
     PartialIso,
@@ -34,10 +35,8 @@ from coloursym.perms import (
     apply,
     compose,
     enumerate_sym,
-    fixed_points,
     identity,
     inverse,
-    is_involution,
     transposition,
 )
 
@@ -205,29 +204,32 @@ def test_consistent_pairs_closed_under_composition():
 
 
 def test_obstruction_m2_single_edge():
-    report = check_no_fpf_colour_involution(single_edge(1))
-    assert report.vertex_perm_count == 1
-    assert report.colour_involution_count == 1
-    assert report.pairs_checked == 1
-    assert report.passed
-    citation = report.citations[0]
+    G = single_edge(1)
+    assert check_no_fpf_colour_involution(G).passed
+    full = obstruction_by_full_checks(G)
+    assert full.vertex_perm_count == 1
+    assert full.colour_involution_count == 1
+    assert full.pairs_checked == 1
+    assert full.consistent_pairs == ()
+    citation = full.citations[0]
     assert citation.edge == (0, 1)
     assert citation.image_colour != citation.colour
 
 
 def test_obstruction_m4_random():
-    report = check_no_fpf_colour_involution(random_graph(4, 4, 7))
-    assert report.colour_involution_count == 3  # the double transpositions of S4
-    assert report.passed
-    assert len(report.citations) == report.pairs_checked
+    G = random_graph(4, 4, 7)
+    assert check_no_fpf_colour_involution(G).passed
+    full = obstruction_by_full_checks(G)
+    assert full.colour_involution_count == 3  # the double transpositions of S4
+    assert full.consistent_pairs == ()
+    assert len(full.citations) == full.pairs_checked
 
 
 def test_obstruction_vacuous_small_n():
     for n in (0, 1):
         G = ColouredGraph(m=2, n=n, colours=np.zeros((n, n), dtype=np.int32))
-        report = check_no_fpf_colour_involution(G)
-        assert report.pairs_checked == 0
-        assert report.passed
+        assert check_no_fpf_colour_involution(G).passed
+        assert obstruction_by_full_checks(G).pairs_checked == 0
 
 
 def test_obstruction_rejects_odd_palette():
@@ -235,9 +237,26 @@ def test_obstruction_rejects_odd_palette():
         check_no_fpf_colour_involution(random_graph(3, 3, 0))
 
 
-def test_obstruction_guard():
-    with pytest.raises(ValueError):
-        check_no_fpf_colour_involution(random_graph(8, 2, 0))
+def test_obstruction_guard(tmp_path, capsys):
+    # the argument enumerates nothing, so it decides any graph the reader accepts
+    for n, m in ((8, 2), (4, 10)):
+        G = random_graph(n, m, 1)
+        assert check_no_fpf_colour_involution(G).passed
+        src = tmp_path / f"g{n}.json"
+        src.write_text(G.to_json())
+        assert main(["obstruction", "--in", str(src), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] and f"n={n}, m={m}" in doc["assertions"][0]["detail"]
+
+
+def test_obstruction_summary_names_the_argument_and_no_count():
+    report = check_no_fpf_colour_involution(random_graph(7, 8, 0))
+    assert (report.m, report.n, report.passed) == (8, 7, True)
+    summary = report.summary()
+    assert summary.startswith("2-cycle edge + fixed-point-free involution on n=7, m=8: ")
+    assert summary.endswith("; 0 consistent")
+    # only n, m and the verdict: no count that grows with n! or with m
+    assert re.findall(r"\d+", summary) == ["2", "7", "8", "0"]
 
 
 def test_obstruction_all_two_colourings_up_to_n4():
@@ -253,8 +272,9 @@ def test_obstruction_n6_random_graphs():
 
 
 def test_obstruction_citations_name_moved_colours():
-    report = check_no_fpf_colour_involution(random_graph(5, 2, 3))
-    for citation in report.citations:
+    full = obstruction_by_full_checks(random_graph(5, 2, 3))
+    assert full.citations and len(full.citations) == full.pairs_checked
+    for citation in full.citations:
         u, v = citation.edge
         # the cited edge joins a 2-cycle of s and its colour moves under pi
         assert apply(citation.vertex_perm, u + 1) == v + 1
@@ -263,20 +283,12 @@ def test_obstruction_citations_name_moved_colours():
 
 
 def test_obstruction_report_equals_the_full_check_of_every_pair():
-    # the per-pair certificate cites exactly what a full colour check of
-    # each pair and a search of its 2-cycles would cite
+    # the argument's verdict against a full colour check of each pair
     for n in range(8):
         for m in (2, 4, 6, 8):
             G = random_graph(n, m, 100 * n + m)
-            assert check_no_fpf_colour_involution(G) == obstruction_by_full_checks(G), (n, m)
-
-
-def test_obstruction_raises_if_a_listed_involution_keeps_the_cited_colour(monkeypatch):
-    # every listed involution is fixed-point-free, so this cannot happen
-    # unless the listing is wrong; it must not pass as a refutation
-    monkeypatch.setattr(graphs, "fixed_points", lambda pi: ())  # lists (1)(2)(3 4) too
-    with pytest.raises(RuntimeError, match="fixes colour 1"):
-        check_no_fpf_colour_involution(graph_from_edges(4, 2, [[0, 1, 1]]))
+            assert check_no_fpf_colour_involution(G).passed, (n, m)
+            assert obstruction_by_full_checks(G).consistent_pairs == (), (n, m)
 
 
 # -- witness queries -----------------------------------------------------------

@@ -1,6 +1,6 @@
 """Every module of the package uses every name it imports, every top-level
-name it binds has a caller, and importing one module loads only that
-module's own imports."""
+name it binds and every member of its classes has a caller, and importing
+one module loads only that module's own imports."""
 
 import ast
 import os
@@ -57,6 +57,25 @@ def top_level_names(source: str) -> set[str]:
     return names
 
 
+def member_names(source: str) -> set[str]:
+    """The methods, properties and annotated fields of a module's top-level
+    classes, as Class.name; dunders are left out, since Python calls them."""
+    names = set()
+    for cls in ast.parse(source).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                name = node.target.id
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                names.add(f"{cls.name}.{name}")
+    return names
+
+
 def names_read(source: str) -> set[str]:
     """The names a module reads: as a name, as an attribute, or by import."""
     read = set()
@@ -74,17 +93,34 @@ def test_names_read_and_bound():
     source = "import a\nfrom b import c\nX = 1\nY: int = a.d(X)\ndef f(): return g\nclass K: pass\n"
     assert top_level_names(source) == {"X", "Y", "f", "K"}
     assert names_read(source) == {"c", "X", "int", "a", "d", "g"}
+    source = "class K:\n    a: int\n    b = 1\n    def __init__(self): ...\n    @property\n    def c(self): ...\n"
+    assert member_names(source + "def f():\n    class L:\n        d: int\n") == {"K.a", "K.c"}
+
+
+# src/ holds only what a command, the benchmark or the acceptance suite
+# reaches; an oracle that only unit tests call lives in tests/helpers.py
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+CALLERS = [*MODULES, *sorted((ROOT / "perfbench").glob("*.py"))]
+CALLERS += [ROOT / "tests" / "helpers.py", ROOT / "tests" / "test_acceptance.py"]
+
+
+def read_by_callers() -> set[str]:
+    return set().union(*(names_read(path.read_text(encoding="utf-8")) for path in CALLERS))
 
 
 def test_every_top_level_name_has_a_caller():
-    # src/ holds only what a command, the benchmark or the acceptance suite
-    # reaches; an oracle that only unit tests call lives in tests/helpers.py
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    callers = [*modules, *sorted((ROOT / "perfbench").glob("*.py"))]
-    callers += [ROOT / "tests" / "helpers.py", ROOT / "tests" / "test_acceptance.py"]
-    read = set().union(*(names_read(path.read_text(encoding="utf-8")) for path in callers))
-    for path in modules:
+    read = read_by_callers()
+    for path in MODULES:
         assert top_level_names(path.read_text(encoding="utf-8")) - read == set(), path.name
+
+
+def test_every_class_member_has_a_caller():
+    # matched by name alone: a member counts as read when any caller reads
+    # an attribute or a name spelled like it
+    read = read_by_callers()
+    for path in MODULES:
+        members = member_names(path.read_text(encoding="utf-8"))
+        assert {m for m in members if m.partition(".")[2] not in read} == set(), path.name
 
 
 def test_the_package_exports_nothing():
