@@ -29,6 +29,7 @@ from .equivariant import (
 )
 from .graphs import (
     ColouredGraph,
+    ObstructionReport,
     check_no_fpf_colour_involution,
     check_palette,
     find_witness,  # unused here; perfbench/tracing.py patches cli.find_witness
@@ -40,15 +41,15 @@ from .graphs import (
 from .perms import cycle_string, double_coset_lower_bound, fixed_points
 from .spin import (
     COVER_ENUM_MAX_M,
-    DIRECT_LIFT_MAX_M,
     CoverKind,
     blocking_involutions,  # unused here; perfbench/tracing.py patches cli.blocking_involutions
+    broken_schur_relation,
     canonical_fpf_involution,
     enumerate_cover,
     lift,  # unused here; perfbench/tracing.py patches cli.lift
-    lift_orders,
     order,  # unused here; perfbench/tracing.py patches cli.order
     order_rule_table,
+    predicted_lift_order,
 )
 
 
@@ -213,8 +214,7 @@ def cmd_complement(args: argparse.Namespace) -> RunReport:
             not fixed_points(p),
             f"no pair colouring exists: involution acting as {cycle_string(p)} fixes no colour",
         )
-        graph = random_graph(5, m, args.seed)
-        obstruction = check_no_fpf_colour_involution(graph)
+        obstruction = ObstructionReport(m=m, n=5)  # the argument holds on every graph
         report.check(
             "no-consistent-fpf-involution",
             obstruction.passed,
@@ -245,26 +245,23 @@ def cmd_supplement(args: argparse.Namespace) -> RunReport:
             f"(covers are enumerated only for m <= {COVER_ENUM_MAX_M})",
         )
         return report
-    if m > DIRECT_LIFT_MAX_M:
-        raise ValueError(
-            f"supplement lifts even m up to the limit of {DIRECT_LIFT_MAX_M}, got m={m}"
-        )
     if m > COVER_ENUM_MAX_M:
         # fixed-point-free involutions, products of m/2 disjoint transpositions, are all conjugate:
-        # one lift's order decides a cover; the other is reported only if the run's cover is blocked
+        # all their lifts share one order, which decides a cover; the other is reported only if
+        # the run's cover is blocked
         p = canonical_fpf_involution(m)
         other = CoverKind.HAT if kind is CoverKind.TILDE else CoverKind.TILDE
         for k in (kind, other):
-            orders = lift_orders(p, k)
-            ok = orders[0] == 4
+            broken = broken_schur_relation(m, k)
+            lift_order = None if broken else predicted_lift_order(m // 2, k)
             report.check(
                 f"supplement-condition-{k.value}",
-                ok,
-                f"lift of {cycle_string(p)} has order {orders[0]} "
-                f"(order {orders[1]} for the other lift); "
-                + ("order 4, cover usable" if ok else "order 2, cover blocked"),
+                lift_order == 4,
+                f"Schur relations fail in the {k.value} kind: {broken}" if broken else
+                f"Schur relations + parity + conjugacy: both lifts of {cycle_string(p)} "
+                f"have order {lift_order}; cover " + ("usable" if lift_order == 4 else "blocked"),
             )
-            if ok:
+            if lift_order != 2:  # usable, or undecided
                 break
         else:
             report.check(

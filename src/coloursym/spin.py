@@ -5,19 +5,17 @@ e_i^2 = -1 (the "tilde" kind) or e_i^2 = +1 (the "hat" kind) and
 e_i e_j = -e_j e_i for i != j. The unit vector (e_a - e_b)/sqrt(2)
 conjugates the basis vectors by the transposition (a b) up to sign, so
 products of such vectors form a group that maps onto the symmetric group
-with kernel {+1, -1}: a double cover. Which kind carries which classical
-name is pinned down empirically by the order rule below: in the tilde
-cover a product of r disjoint transpositions lifts to an element of order
-4 exactly when r = 1 or 2 (mod 4), in the hat cover exactly when
-r = 2 or 3 (mod 4).
+with kernel {+1, -1}: a double cover. Which kind is which cover follows
+from Schur's relations on the pair vectors (`broken_schur_relation`):
+disjoint pair vectors anticommute, so in the tilde cover a product of r
+disjoint transpositions lifts to order 4 exactly when r = 1 or 2 (mod 4),
+in the hat cover exactly when r = 2 or 3 (mod 4) (`predicted_lift_order`).
 
 A product of k pair vectors is (sqrt 2)^(-k) times an integer combination
 of at most 2^k blades, so every element is stored that way: one exponent
 k and a sparse tuple of (blade, integer) pairs, in a unique normal form.
 Group elements therefore compare and hash by value and the enumeration
-can intern them. Read one term at a time, an element is a list of
-(blade, n, k) triples, each coefficient n * (sqrt 2)^(-k) reduced on its
-own (`coefficient`); the cover JSON writes elements that way.
+can intern them.
 
 Cover enumeration keeps the same normal form densely: the exponent k and
 one int64 row over all 2^m blades. Right multiplication by a generator is
@@ -32,11 +30,12 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .equivariant import FiniteGroup, cayley_table
+from .graphs import MAX_PALETTE
 from .perms import (
     Perm,
     compose,
@@ -50,7 +49,7 @@ from .perms import (
 )
 
 COVER_ENUM_MAX_M = 6  # 2 * 6! = 1440 elements is the enumeration ceiling
-DIRECT_LIFT_MAX_M = 12  # a lift holds up to 2^(m-1) blades; 12 keeps products small
+DIRECT_LIFT_MAX_M = 12  # a lift holds up to 2^(m-1) blades; caps what order() multiplies
 
 
 class CoverKind(enum.Enum):
@@ -58,16 +57,6 @@ class CoverKind(enum.Enum):
 
     TILDE = "tilde"  # e_i^2 = -1
     HAT = "hat"  # e_i^2 = +1
-
-
-def coefficient(n: int, k: int) -> tuple[int, int]:
-    """Normal form (n, k) of one term's coefficient n * (sqrt 2)^(-k), n != 0
-    and k >= 0: n * (sqrt 2)^(-k) = (n/2) * (sqrt 2)^(-(k-2)) is applied
-    while n is even and k >= 2, so equal values give equal pairs."""
-    while n % 2 == 0 and k >= 2:
-        n //= 2
-        k -= 2
-    return n, k
 
 
 # perfbench/tracing.py counts a product's blades as the coeffs not equal to
@@ -109,8 +98,8 @@ class PinElement:
     coeffs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.m <= DIRECT_LIFT_MAX_M:
-            raise ValueError(f"m must be in 1..{DIRECT_LIFT_MAX_M}")
+        if not 1 <= self.m <= MAX_PALETTE:
+            raise ValueError(f"m must be in 1..{MAX_PALETTE}")
         if self.k < 0:
             raise ValueError("the root-two exponent must be nonnegative")
         coeffs = sorted((mask, n) for mask, n in self.coeffs if n)
@@ -127,12 +116,6 @@ class PinElement:
             k -= 2
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def blades(self) -> Iterator[tuple[int, int, int]]:
-        """Each term as (blade, n, k): n * (sqrt 2)^(-k) times the blade,
-        with (n, k) in the normal form of `coefficient`."""
-        for mask, n in self.coeffs:
-            yield (mask, *coefficient(n, self.k))
 
 
 def unit(sign: int, m: int, kind: CoverKind) -> PinElement:
@@ -229,15 +212,6 @@ class SpinCover:
             t += 1
         return t
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "m": self.m,
-            "group": self.group.to_json_dict(),
-            "neg_unit_label": self.neg_unit_label,
-            "elements": [[list(term) for term in x.blades()] for x in self.elements],
-        }
-
 
 @functools.lru_cache(maxsize=None)
 def enumerate_cover(m: int, kind: CoverKind) -> SpinCover:
@@ -318,15 +292,38 @@ def enumerate_cover(m: int, kind: CoverKind) -> SpinCover:
 # -- the order rule and the blocking involutions ----------------------------
 
 
+def broken_schur_relation(m: int, kind: CoverKind) -> Optional[str]:
+    """The first of Schur's relations on t_i = (e_i - e_(i+1))/sqrt(2), i < m,
+    that fails, or None: t_i^2 = eps (-1 tilde, +1 hat), (t_i t_(i+1))^3 = eps
+    and (t_i t_j)^2 = -1 for |i - j| >= 2. For m >= 4 they present a group of
+    order 2 * m! (Schur 1911); the t_i map onto Sym(m) and hold
+    (t_1 t_3)^2 = -1 != +1, so they generate all of it: the double cover."""
+    t = [pair_vector(i, i + 1, m, kind) for i in range(1, m)]
+    eps = -1 if kind is CoverKind.TILDE else 1
+    square, minus_one = unit(eps, m, kind), unit(-1, m, kind)
+    for i, ti in enumerate(t, start=1):
+        if pin_mul(ti, ti) != square:
+            return f"t_{i}^2 != {eps:+d}"
+        if i < m - 1:
+            x = pin_mul(ti, t[i])
+            if pin_mul(pin_mul(x, x), x) != square:
+                return f"(t_{i} t_{i + 1})^3 != {eps:+d}"
+        for j in range(i + 2, m):
+            x = pin_mul(ti, t[j - 1])
+            if pin_mul(x, x) != minus_one:
+                return f"(t_{i} t_{j})^2 != -1"
+    return None
+
+
 def predicted_lift_order(r: int, kind: CoverKind) -> int:
-    """Order of either lift of a product of r >= 1 disjoint transpositions:
-    4 when r = 1, 2 (mod 4) in the tilde cover or r = 2, 3 (mod 4) in the
-    hat cover, else 2."""
+    """Order of either lift of a product of r >= 1 disjoint transpositions.
+    By conjugacy take (1 2)(3 4)...(2r-1 2r), lifted to +-t_1 t_3 ... t_(2r-1).
+    Disjoint t's anticommute, so its square is eps^r (-1)^(r(r-1)/2) with
+    eps = t_i^2 (-1 tilde, +1 hat): order 4 when that is -1, else 2."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    residue = r % 4
-    wanted = (1, 2) if kind is CoverKind.TILDE else (2, 3)
-    return 4 if residue in wanted else 2
+    eps = -1 if kind is CoverKind.TILDE else 1
+    return 4 if eps**r * (-1) ** (r * (r - 1) // 2) == -1 else 2
 
 
 def transposition_product(m: int, r: int) -> Perm:
@@ -383,16 +380,17 @@ class OrderRuleReport:
 
 def order_rule_table(m: int, kind: CoverKind, mode: str = "auto") -> OrderRuleReport:
     """Orders of both lifts of products of r disjoint transpositions, for
-    each r <= m/2.
+    each r <= m/2, against `predicted_lift_order`.
 
-    Direct mode lifts only the canonical product (1 2)(3 4)...(2r-1 2r) and
-    is available up to m = 12. That suffices by conjugacy: every product of
-    r disjoint transpositions is a conjugate s^-1 q s of the canonical one q,
-    and conjugating by a lift of s carries the two lifts of q onto the two
-    lifts of s^-1 q s without changing their orders. Exhaustive mode (m
-    within the enumeration guard) tests that argument: it lifts every
-    product of the cycle type and cross-checks the orders of both lifts
-    against the interned multiplication table of the enumerated cover.
+    Direct mode lifts only the canonical product (1 2)(3 4)...(2r-1 2r), up
+    to m = DIRECT_LIFT_MAX_M, which caps what `order` multiplies. That
+    suffices by conjugacy: every product of r disjoint transpositions is a
+    conjugate s^-1 q s of the canonical one q, and conjugating by a lift of
+    s carries the two lifts of q onto the two lifts of s^-1 q s without
+    changing their orders. Exhaustive mode (m within the enumeration guard)
+    tests that argument: it lifts every product of the cycle type and
+    cross-checks the orders of both lifts against the interned
+    multiplication table of the enumerated cover.
     """
     if mode == "auto":
         mode = "exhaustive" if m <= COVER_ENUM_MAX_M else "direct"

@@ -170,6 +170,7 @@ def test_complement_even_m_builds_no_group(capsys, monkeypatch):
 
     for work in ("symmetric_group", "group_from_perms"):
         monkeypatch.setattr(equivariant, work, never)
+    monkeypatch.setattr(cli, "random_graph", never)  # no graph's colours are read either
     code, doc = run_json(capsys, "complement", "--m", "4")
     assert code == 0 and doc["passed"]
 
@@ -181,8 +182,8 @@ def test_palette_outside_2_to_255_is_refused_before_any_work(capsys, monkeypatch
     def never(*args, **kwargs):
         raise AssertionError("work ran before the palette was checked")
 
-    for work in ("sym_complement", "check_no_fpf_colour_involution", "canonical_fpf_involution",
-                 "enumerate_cover", "lift_orders"):
+    for work in ("sym_complement", "ObstructionReport", "canonical_fpf_involution",
+                 "enumerate_cover", "broken_schur_relation"):
         monkeypatch.setattr(cli, work, never)
     code, out, err = run(capsys, command[0], "--m", str(m), *command[1:])
     assert (code, out) == (2, "")
@@ -367,12 +368,62 @@ def test_supplement_odd_m_above_enumeration_passes_vacuously(capsys, cover):
     assert "odd" in detail and "not run" in detail
 
 
-def test_supplement_beyond_the_direct_lift_limit_is_a_one_line_error(capsys):
-    # m is checked before any algebra element is built
-    code, out, err = run(capsys, "supplement", "--m", "26", "--cover", "tilde")
-    assert code == 2
-    assert out == ""
-    assert err == "error: supplement lifts even m up to the limit of 12, got m=26\n"
+@pytest.mark.parametrize("m", [14, 16, 24, 26, 32])
+@pytest.mark.parametrize("cover", ["tilde", "hat"])
+def test_supplement_decides_even_m_beyond_the_old_lift_limit(capsys, monkeypatch, m, cover):
+    # the run's cover is usable when 8 does not divide m; the other cover is
+    # reported only when the run's is blocked, and 8 | m blocks both
+    def never(*args, **kwargs):
+        raise AssertionError("an involution was lifted")
+
+    for owner in (cli, spin):
+        for work in ("lift", "order"):
+            monkeypatch.setattr(owner, work, never)
+    usable = {"tilde": m // 2 % 4 in (1, 2), "hat": m // 2 % 4 in (2, 3)}
+    other = "hat" if cover == "tilde" else "tilde"
+    expected = [(f"supplement-condition-{cover}", usable[cover])]
+    if not usable[cover]:
+        expected.append((f"supplement-condition-{other}", usable[other]))
+        if not usable[other]:
+            expected.append(("both-covers-blocked", False))
+    code, doc = run_json(capsys, "supplement", "--m", str(m), "--cover", cover)
+    assert [(a["name"], a["passed"]) for a in doc["assertions"]] == expected
+    assert code == (0 if usable[cover] else 1)
+    assert (m % 8 == 0) == (len(expected) == 3)
+    for a in doc["assertions"][:2]:
+        verdict = "order 4; cover usable" if a["passed"] else "order 2; cover blocked"
+        assert a["detail"].startswith("Schur relations + parity + conjugacy: both lifts of (1 2)(3 4)")
+        assert a["detail"].endswith(f"({m - 1} {m}) have {verdict}")
+
+
+def test_supplement_m254_hat_passes_within_seconds(capsys):
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "supplement", "--m", "254", "--cover", "hat")
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert [(a["name"], a["passed"]) for a in doc["assertions"]] == [
+        ("supplement-condition-hat", True)
+    ]
+    assert doc["assertions"][0]["detail"].endswith("(253 254) have order 4; cover usable")
+
+
+def test_a_broken_schur_relation_is_a_failing_assertion(capsys, monkeypatch):
+    # t_3 = (e_3 + e_4)/sqrt(2) still squares to eps, anticommutes with t_1 and
+    # braids with t_2, but it meets t_4 at 60 degrees, not 120: (t_3 t_4)^3 = +1
+    real = spin.pair_vector
+
+    def broken(a, b, m, kind):
+        x = real(a, b, m, kind)
+        return spin.PinElement(kind, m, 1, ((1 << 2, 1), (1 << 3, 1))) if (a, b) == (3, 4) else x
+
+    monkeypatch.setattr(spin, "pair_vector", broken)
+    code, out, err = run(capsys, "supplement", "--m", "10", "--cover", "tilde", "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["assertions"] == [{
+        "name": "supplement-condition-tilde",
+        "passed": False,
+        "detail": "Schur relations fail in the tilde kind: (t_3 t_4)^3 != -1",
+    }]
 
 
 # -- cover-table -----------------------------------------------------------------
@@ -482,8 +533,8 @@ def test_huge_vertex_count_is_a_one_line_error(tmp_path, capsys):
             id="gen-random-huge-palette",
         ),
         ["supplement", "--m", "4", "--cover", "hat", "--orbits", "50000"],
-        # even m beyond the direct lift's reach, refused by supplement itself
-        pytest.param(["supplement", "--m", "14", "--cover", "hat"], id="supplement-even-m-beyond-lift"),
+        # even m above the palette bound: the relations are never checked
+        pytest.param(["supplement", "--m", "256", "--cover", "hat"], id="supplement-even-m-256"),
         ["complement", "--m", "3", "--orbits", "100000"],
         ["coset-bound", "--m", "100000000", "--k", "100000000"],
         pytest.param(
@@ -661,9 +712,10 @@ def test_a_graph_pipe_is_read_no_further_than_the_byte_limit(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, work",
     [
-        pytest.param(["supplement", "--m", "7", "--cover", "hat"], "lift_orders", id="supplement-m7"),
-        pytest.param(["supplement", "--m", "10", "--cover", "tilde"], "lift_orders", id="supplement-m10"),
-        pytest.param(["complement", "--m", "4"], "check_no_fpf_colour_involution", id="complement-m4"),
+        pytest.param(["supplement", "--m", "7", "--cover", "hat"], "broken_schur_relation", id="supplement-m7"),
+        pytest.param(["supplement", "--m", "10", "--cover", "tilde"], "broken_schur_relation",
+                     id="supplement-m10"),
+        pytest.param(["complement", "--m", "4"], "canonical_fpf_involution", id="complement-m4"),
     ],
 )
 def test_out_is_refused_where_no_graph_is_built(tmp_path, capsys, monkeypatch, argv, work):
@@ -784,7 +836,7 @@ def test_each_branch_reads_or_refuses_each_optional_flag(tmp_path, capsys, monke
         def never(*args, **kwargs):
             raise AssertionError(f"work ran before {flag} was refused")
 
-        for work in ("lift_orders", "check_no_fpf_colour_involution", "enumerate_cover"):
+        for work in ("broken_schur_relation", "canonical_fpf_involution", "enumerate_cover"):
             monkeypatch.setattr(cli, work, never)
         code, out, err = run(capsys, *BRANCHES[branch], *extra, "--json")
         assert (code, out) == (2, "")
