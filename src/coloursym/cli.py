@@ -185,15 +185,16 @@ def cmd_complement(args: argparse.Namespace) -> RunReport:
     m = args.m
     check_palette(m)
     if m % 2 == 0:
-        _refuse_unread(args, ("out", "orbits"), "odd m")
+        _refuse_unread(args, ("out", "orbits", "seed"), "odd m")
     orbits = 2 if args.orbits is None else args.orbits
+    seed = 0 if args.seed is None else args.seed
     report = RunReport(
         command="complement",
         params={"m": m, "orbits": orbits},
-        seed=args.seed,
+        seed=seed,
     )
     if m % 2 == 1:
-        _, ver = sym_complement(m, orbits, args.seed)
+        _, ver = sym_complement(m, orbits, seed)
         report.check(
             "all-elements-consistent",
             ver.all_consistent,
@@ -429,7 +430,7 @@ _COMMANDS = {
             ("--m", {"type": int, "required": True}),
             ("--orbits", {"type": int, "default": None,
                           "help": "orbit copies, odd m only (default 2)"}),
-            ("--seed", {"type": int, "default": 0}),
+            ("--seed", {"type": int, "default": None}),
             ("--out", {"default": None, "help": "write the assembled graph JSON here (odd m only)"}),
         ]),
     "supplement": ("test a double cover as a supplement and verify it", cmd_supplement, [

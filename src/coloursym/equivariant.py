@@ -37,7 +37,6 @@ from .graphs import (
 from .perms import (
     Perm,
     _is_int,
-    apply,
     compose,
     cycle_string,
     enumerate_sym,
@@ -66,22 +65,22 @@ class FixedPointFreeInvolution(Exception):
 class FiniteGroup:
     """Finite group as a multiplication table plus a colour action.
 
-    mul[g, h] is the label of g*h; label 0 is the identity; phi[g] is the
-    permutation of {1..m} induced by g. Only mul and phi are given, and
-    optionally the labels that whoever built the table proposes as
-    generators; size, m, the inverses, the colour lookup table and a
-    generating set (see `generators`) are derived from them. Construction
-    is the proof: it raises ValueError unless mul is a group table and phi
-    a homomorphism into Sym(m) under the package's right-action composition.
+    mul[g, h] is the label of g*h; label 0 is the identity; row g of the
+    (size, m) uint8 array phi is the permutation of {1..m} induced by g, so
+    phi[g, c - 1] is the image of colour c. Only mul and phi are given, and
+    optionally the labels proposed as generators; size, m, the inverses and
+    a generating set (see `generators`) are derived, and every table is
+    read-only. Construction is the proof: it raises ValueError unless mul
+    is a group table and phi a homomorphism into Sym(m) under the package's
+    right-action composition.
     """
 
     mul: np.ndarray = field(repr=False)
-    phi: tuple[Perm, ...] = field(repr=False)
+    phi: np.ndarray = field(repr=False)
     proposed: tuple[int, ...] = field(default=(), repr=False)
     size: int = field(init=False)
     m: int = field(init=False)
     inv: np.ndarray = field(init=False, repr=False)
-    phi_table: np.ndarray = field(init=False, repr=False)  # [g, c] = phi(g)(c), [g, 0] = 0
     gens: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -98,30 +97,38 @@ class FiniteGroup:
         rows, inv = np.nonzero(mul == 0)
         if not np.array_equal(rows, labels):
             raise ValueError("each row must contain the identity exactly once")
-        phi = tuple(tuple(p) for p in self.phi)
-        if len(phi) != size:
+        if len(self.phi) != size:
             raise ValueError("phi must assign a colour permutation to every element")
-        m = len(phi[0])
-        for g, p in enumerate(phi):
-            if len(p) != m or not is_perm(p):
-                raise ValueError(f"phi[{g}] is not a permutation of 1..{m}")
-        if phi[0] != identity(m):
+        m = len(self.phi[0])
+        try:
+            phi = np.asarray(self.phi)
+        except ValueError:  # numpy refuses ragged rows
+            phi = np.empty(0)
+        odd = size  # the first row that is not m integers, scanned for only when numpy balks
+        if phi.shape != (size, m) or phi.size and phi.dtype.kind not in "iu":
+            rows = enumerate(self.phi)
+            odd = next((g for g, p in rows if len(p) != m or not all(map(_is_int, p))), size)
+            phi = np.array(self.phi[:odd]).reshape(odd, m)  # the rows before it
+        ident = np.arange(1, m + 1)
+        bad = [*np.flatnonzero((np.sort(phi, axis=1) != ident).any(axis=1)), odd]
+        if bad[0] < size:
+            raise ValueError(f"phi[{bad[0]}] is not a permutation of 1..{m}")
+        if (phi[0] != ident).any():
             raise ValueError("the identity must act trivially on colours")
-        phi_table = colour_lookup(phi)
+        phi = np.ascontiguousarray(colour_lookup(phi)[:, 1:])  # uint8, m <= MAX_PALETTE
         proposed = tuple(self.proposed)
         if not all(_is_int(g) and 0 <= g < size for g in proposed):
             raise ValueError("proposed generators must be element labels")
         gens = generators(mul, proposed)
         if not is_associative(mul, gens):
             raise ValueError("the multiplication table is not associative")
-        if not is_phi_homomorphism(mul, phi_table, gens):
+        if not is_phi_homomorphism(mul, phi, gens):
             raise ValueError("phi is not a homomorphism")
         inv = inv.astype(np.int32)
-        for table in (mul, inv, phi_table):
+        for table in (mul, inv, phi):
             table.flags.writeable = False
         for name, value in dict(
-            mul=mul, phi=phi, proposed=proposed, size=size, m=m, inv=inv, phi_table=phi_table,
-            gens=gens,
+            mul=mul, phi=phi, proposed=proposed, size=size, m=m, inv=inv, gens=gens,
         ).items():
             object.__setattr__(self, name, value)
 
@@ -132,19 +139,18 @@ class FiniteGroup:
         return int(self.inv[g])
 
     def involutions(self) -> tuple[int, ...]:
-        return tuple(g for g in range(1, self.size) if int(self.mul[g, g]) == 0)
+        return tuple(np.flatnonzero(np.diagonal(self.mul) == 0)[1:].tolist())
 
     def kernel(self) -> tuple[int, ...]:
         """Labels acting trivially on the colours."""
-        ident = identity(self.m)
-        return tuple(g for g in range(self.size) if self.phi[g] == ident)
+        return tuple(np.flatnonzero((self.phi == np.arange(1, self.m + 1)).all(axis=1)).tolist())
 
     def to_json_dict(self) -> dict:
         return {
             "size": self.size,
             "m": self.m,
             "mul": self.mul.tolist(),
-            "phi": [list(p) for p in self.phi],
+            "phi": self.phi.tolist(),
         }
 
     @classmethod
@@ -233,7 +239,7 @@ def group_from_perms(perms: Iterable[Perm]) -> FiniteGroup:
                     reached[y] = True
                     steps.append((y, x, g))
                     queue.append(y)
-    return FiniteGroup(mul=cayley_table(right, steps), phi=tuple(ordering), proposed=tuple(labels))
+    return FiniteGroup(mul=cayley_table(right, steps), phi=ordering, proposed=tuple(labels))
 
 
 def symmetric_group(m: int) -> FiniteGroup:
@@ -282,13 +288,11 @@ def is_associative(mul: np.ndarray, gens: tuple[int, ...]) -> bool:
     return True
 
 
-def is_phi_homomorphism(
-    mul: np.ndarray, phi_table: np.ndarray, gens: tuple[int, ...]
-) -> bool:
-    """phi(x*a) == phi(x) followed by phi(a) for every generator a and all
-    x, on the colour lookup table of phi (see colour_lookup). Over an
-    associative table this extends to every product."""
-    return all(np.array_equal(phi_table[mul[:, a]], phi_table[a][phi_table]) for a in gens)
+def is_phi_homomorphism(mul: np.ndarray, phi: np.ndarray, gens: tuple[int, ...]) -> bool:
+    """phi(x*a) == phi(x) followed by phi(a), which is row a read at the
+    images in row x, for every generator a and all x. Over an associative
+    table this extends to every product."""
+    return all(np.array_equal(phi[mul[:, a]], phi[a][phi - 1]) for a in gens)
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,7 +321,7 @@ class PairColouring:
                 raise ValueError(f"base colour of element {y} out of range")
         colours = np.array(base, dtype=np.int32)
         inverses = G.inv[1:]
-        broken = np.flatnonzero(colours[inverses] != G.phi_table[inverses, colours[1:]])
+        broken = np.flatnonzero(colours[inverses] != G.phi[inverses, colours[1:] - 1])
         if broken.size:
             y = int(broken[0]) + 1
             raise ValueError(
@@ -331,20 +335,21 @@ def build_pair_colouring(G: FiniteGroup, seed: int) -> PairColouring:
     constraint; an involution draws among the fixed colours of its action
     and raises FixedPointFreeInvolution when there are none."""
     rng = random.Random(f"pair-colouring:{seed}")
+    phi, inv = G.phi.tolist(), G.inv.tolist()
     base = [0] * G.size
     for y in range(1, G.size):
         if base[y]:
             continue
-        yi = G.inverse_of(y)
+        yi = inv[y]
         if yi == y:
-            fixed = sorted(fixed_points(G.phi[y]))
+            fixed = sorted(fixed_points(phi[y]))
             if not fixed:
-                raise FixedPointFreeInvolution(y, G.phi[y])
+                raise FixedPointFreeInvolution(y, tuple(phi[y]))
             base[y] = rng.choice(fixed)
         else:
             c = rng.randrange(G.m) + 1
             base[y] = c
-            base[yi] = apply(G.phi[yi], c)
+            base[yi] = phi[yi][c - 1]
     return PairColouring(group=G, base=tuple(base))
 
 
@@ -354,16 +359,16 @@ def pair_colour(f: PairColouring, x: int, y: int) -> int:
     if x == y:
         raise ValueError("pairs consist of distinct elements")
     G = f.group
-    return apply(G.phi[x], f.base[G.product(y, G.inverse_of(x))])
+    return int(G.phi[x, f.base[G.product(y, G.inverse_of(x))] - 1])
 
 
 def _orbit_block(G: FiniteGroup, quotient: np.ndarray, b: Sequence[int]) -> np.ndarray:
     """The block [y, z] = phi(z)(b[quotient[y, z]]) for quotient[y, z] =
     y * z^-1, over the rows y that quotient holds: colours between two
     orbits, or inside one when b is the base colouring, whose b[0] = 0 gives
-    the zero diagonal. phi_table is read flat, row z from z * (m + 1) on."""
+    the zero diagonal. colour_lookup(phi) is read flat, row z from z * (m + 1)."""
     rows = np.arange(G.size, dtype=np.int32) * (G.m + 1)
-    return G.phi_table.ravel().take(np.asarray(b, dtype=np.uint8)[quotient] + rows)
+    return colour_lookup(G.phi).ravel().take(np.asarray(b, dtype=np.uint8)[quotient] + rows)
 
 
 def pair_colour_matrix(f: PairColouring) -> np.ndarray:
@@ -462,7 +467,7 @@ def make_orbit_spec(
     G: FiniteGroup, f: PairColouring, orbit_count: int, seed: int
 ) -> OrbitGraphSpec:
     """Draw every cross-orbit base colour uniformly (seeded)."""
-    if f.group is not G and not (np.array_equal(f.group.mul, G.mul) and f.group.phi == G.phi):
+    if f.group is not G and not all(map(np.array_equal, (f.group.mul, f.group.phi), (G.mul, G.phi))):
         raise ValueError("pair colouring was built over a different group")
     check_vertex_count(orbit_count * G.size)
     draw = colour_stream(random.Random(f"orbit-spec:{seed}"), G.m)
@@ -506,12 +511,8 @@ def action_vertex_perm(spec: OrbitGraphSpec, g: int) -> Perm:
     """Right multiplication by g on every orbit, as a vertex permutation
     (1-based images over the flat vertex ids)."""
     G = spec.group
-    size = G.size
-    column = G.mul[:, g]
-    images = np.empty(spec.vertex_count, dtype=np.int64)
-    for i in range(spec.orbit_count):
-        images[i * size : (i + 1) * size] = i * size + column
-    return tuple(int(v) + 1 for v in images)
+    images = np.arange(spec.orbit_count)[:, None] * G.size + G.mul[:, g] + 1
+    return tuple(images.ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -545,10 +546,6 @@ class ColourGroupReport:
     @property
     def kernel_size(self) -> int:
         return len(self.kernel)
-
-    @property
-    def passed(self) -> bool:
-        return self.all_consistent
 
     def summary(self) -> str:
         return (

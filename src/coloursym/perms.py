@@ -123,12 +123,6 @@ def fixed_points(g: Perm) -> frozenset[int]:
     return frozenset(i for i in range(1, len(g) + 1) if g[i - 1] == i)
 
 
-def is_involution(g: Perm) -> bool:
-    """True iff g has order exactly 2 (the identity does not count)."""
-    ident = identity(len(g))
-    return g != ident and compose(g, g) == ident
-
-
 def transposition(d: int, a: int, b: int) -> Perm:
     """The transposition (a b) in degree d."""
     if not (1 <= a <= d and 1 <= b <= d) or a == b:

@@ -38,11 +38,9 @@ from .equivariant import FiniteGroup, cayley_table
 from .graphs import MAX_PALETTE
 from .perms import (
     Perm,
-    compose,
     cycle_type,
     cycles,
     enumerate_sym,
-    fixed_points,
     from_cycles,
     identity,
     transposition,
@@ -179,8 +177,8 @@ def lift(p: Perm, kind: CoverKind) -> PinElement:
 
 @dataclass(frozen=True, eq=False)
 class SpinCover:
-    """An enumerated double cover: the interned FiniteGroup (phi = the
-    projection), the label of the central -1, and the algebra element
+    """An enumerated double cover: the interned FiniteGroup (phi row g, the
+    projection of g), the label of the central -1, and the algebra element
     behind every label as (sqrt 2)^(-exponents[g]) times the integers of
     the read-only int64 row rows[g] (column b holds blade b), in
     PinElement's normal form. `elements`, the same elements as PinElements,
@@ -227,7 +225,8 @@ def enumerate_cover(m: int, kind: CoverKind) -> SpinCover:
     It runs one breadth-first layer at a time on integer blade rows in
     PinElement's normal form, keyed by (k, row bytes): x * e_i holds
     sign(c ^ e_i, e_i) * x[c ^ e_i] at blade c, the Coxeter lift is two such
-    gathers with k + 1, and -1 negates."""
+    gathers with k + 1, and -1 negates. A layer's projections are one gather
+    too: row i of phi read through each generator's projection."""
     if not 2 <= m <= COVER_ENUM_MAX_M:
         raise ValueError(f"m must be in 2..{COVER_ENUM_MAX_M} for enumeration")
     blades = np.arange(1 << m)
@@ -236,12 +235,12 @@ def enumerate_cover(m: int, kind: CoverKind) -> SpinCover:
         np.array([blade_mul(c, 1 << i, kind)[1] for c in src.tolist()])
         for i, src in enumerate(sources)
     ]
-    gen_projs = [transposition(m, i, i + 1) for i in range(1, m)] + [identity(m)]
+    gen_projs = np.array([transposition(m, i, i + 1) for i in range(1, m)] + [identity(m)])
     one = (blades == 0).astype(np.int64)
     blocks = [one[None]]  # the rows each layer found, in discovery order
+    phis = [np.arange(1, m + 1)[None]]  # and their projections
     exponents: list[int] = [0]
     index = {(0, one.tobytes()): 0}
-    phi: list[Perm] = [identity(m)]
     steps: list[tuple[int, int, int]] = []  # (y, p, g): y = p * generator g
     right: list[list[int]] = [[] for _ in gen_projs]
     target = 2 * math.factorial(m)
@@ -252,6 +251,7 @@ def enumerate_cover(m: int, kind: CoverKind) -> SpinCover:
         prods = np.stack([a - b for a, b in zip(terms, terms[1:])] + [-layer], axis=1)
         prods = prods.reshape(-1, 1 << m)
         exps = np.stack([ks + 1] * (m - 1) + [ks], axis=1).ravel()
+        projs = gen_projs[:, phis[-1] - 1].swapaxes(0, 1).reshape(-1, m)  # rows as in prods
         while (halve := (exps >= 2) & ~(prods & 1).any(axis=1)).any():
             prods[halve] //= 2
             exps[halve] -= 2
@@ -264,11 +264,11 @@ def enumerate_cover(m: int, kind: CoverKind) -> SpinCover:
                     raise RuntimeError(f"closure exceeds the expected size {target}")
                 found.append(r)
                 exponents.append(k)
-                phi.append(compose(phi[i], gen_projs[gi]))
                 steps.append((j, i, gi))
             right[gi].append(j)
         start += len(layer)
         blocks.append(prods[found])
+        phis.append(projs[found])
     size = len(exponents)
     if size != target:
         raise RuntimeError(f"closure size {size} != 2 * {m}! = {target}")
@@ -281,7 +281,7 @@ def enumerate_cover(m: int, kind: CoverKind) -> SpinCover:
         kind=kind,
         m=m,
         group=FiniteGroup(
-            mul=cayley_table(right, steps), phi=tuple(phi), proposed=(right[0][0], coxeter)
+            mul=cayley_table(right, steps), phi=np.vstack(phis), proposed=(right[0][0], coxeter)
         ),
         exponents=tuple(exponents),
         rows=table,
@@ -405,7 +405,7 @@ def order_rule_table(m: int, kind: CoverKind, mode: str = "auto") -> OrderRuleRe
     if mode == "exhaustive":
         cover = enumerate_cover(m, kind)
         # one label per permutation; the other preimage is its negation
-        preimage = {p: g for g, p in enumerate(cover.group.phi)}
+        preimage = {tuple(p): g for g, p in enumerate(cover.group.phi.tolist())}
         for p in enumerate_sym(m):
             classes.setdefault(cycle_type(p), []).append(p)
     rows = []
@@ -439,7 +439,7 @@ def order_rule_table(m: int, kind: CoverKind, mode: str = "auto") -> OrderRuleRe
 def blocking_involutions(cover: SpinCover) -> tuple[int, ...]:
     """Labels of order-2 cover elements whose colour action is fixed-point-
     free; any one of them rules the cover out as a supplement."""
-    phi, ident = cover.group.phi, identity(cover.m)
-    return tuple(
-        g for g in cover.group.involutions() if phi[g] != ident and not fixed_points(phi[g])
-    )
+    G = cover.group
+    labels = np.array(G.involutions(), dtype=np.int64)
+    fpf = (G.phi[labels] != np.arange(1, G.m + 1)).all(axis=1)
+    return tuple(labels[fpf].tolist())

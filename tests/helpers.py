@@ -38,7 +38,6 @@ from coloursym.perms import (
     enumerate_sym,
     fixed_points,
     identity,
-    is_involution,
     is_perm,
 )
 from coloursym.spin import CoverKind, PinElement, SpinCover, pin_mul, pin_neg
@@ -132,6 +131,17 @@ def recolour(G: ColouredGraph, pi: Perm) -> ColouredGraph:
     return ColouredGraph(m=G.m, n=G.n, colours=colour_lookup(pi)[G.colours])
 
 
+def is_involution(g: Perm) -> bool:
+    """True iff g has order exactly 2 (the identity does not count)."""
+    ident = identity(len(g))
+    return g != ident and compose(g, g) == ident
+
+
+def colour_perms(G: FiniteGroup) -> list[Perm]:
+    """The rows of G.phi as permutation tuples, label by label."""
+    return [tuple(p) for p in G.phi.tolist()]
+
+
 def sym_group(m: int) -> FiniteGroup:
     return group_from_perms(enumerate_sym(m))
 
@@ -203,6 +213,30 @@ def inconsistent_elements(
     )
 
 
+def kernel_by_elements(G: FiniteGroup) -> tuple[int, ...]:
+    """FiniteGroup.kernel label by label: the g whose colour permutation is
+    the identity."""
+    return tuple(g for g, p in enumerate(colour_perms(G)) if p == identity(G.m))
+
+
+def involutions_by_elements(G: FiniteGroup) -> tuple[int, ...]:
+    """FiniteGroup.involutions label by label: the g != identity with g*g
+    the identity."""
+    return tuple(g for g in range(1, G.size) if G.product(g, g) == 0)
+
+
+def blocking_by_elements(cover: SpinCover) -> tuple[int, ...]:
+    """blocking_involutions label by label: the involutions whose colour
+    permutation moves every colour."""
+    perms = colour_perms(cover.group)
+    ident = identity(cover.m)
+    return tuple(
+        g
+        for g in involutions_by_elements(cover.group)
+        if perms[g] != ident and not fixed_points(perms[g])
+    )
+
+
 def associative_on_all_triples(mul: np.ndarray) -> bool:
     """(g*h)*k == g*(h*k) for every triple of a table, one row of g at a time."""
     MUL = np.asarray(mul)
@@ -218,6 +252,7 @@ def table_from_all_products(elements, product=compose) -> np.ndarray:
 
 def phi_homomorphic_on_all_pairs(mul: np.ndarray, phi) -> bool:
     """phi(g*h) == phi(g) followed by phi(h) for every pair of labels."""
+    phi = [tuple(p) for p in np.asarray(phi).tolist()]
     size = len(phi)
     return all(
         phi[int(mul[g][h])] == compose(phi[g], phi[h]) for g in range(size) for h in range(size)

@@ -153,15 +153,25 @@ def test_complement_above_the_sym_cap_is_a_one_line_error(capsys, m):
     ids=["2", "4", "6", "8", "254"],
 )
 def test_complement_even_m_names_a_fixed_point_free_witness(capsys, m, pairs):
-    # even m is decided for every palette, with the same witness for every seed
-    for seed in ("0", "5"):
-        code, doc = run_json(capsys, "complement", "--m", str(m), "--seed", seed)
-        assert code == 0 and doc["passed"]
-        assert doc["assertions"][0] == {
-            "name": "obstruction-witness",
-            "passed": True,
-            "detail": f"no pair colouring exists: involution acting as {pairs} fixes no colour",
-        }
+    # even m is decided for every palette, and no seed is read
+    code, doc = run_json(capsys, "complement", "--m", str(m))
+    assert code == 0 and doc["passed"] and doc["seed"] == 0
+    assert doc["assertions"][0] == {
+        "name": "obstruction-witness",
+        "passed": True,
+        "detail": f"no pair colouring exists: involution acting as {pairs} fixes no colour",
+    }
+
+
+def test_complement_even_m_refuses_a_seed_before_any_work(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("work ran before --seed was refused")
+
+    for work in ("canonical_fpf_involution", "ObstructionReport", "sym_complement"):
+        monkeypatch.setattr(cli, work, never)
+    code, out, err = run(capsys, "complement", "--m", "4", "--seed", "9")
+    assert (code, out) == (2, "")
+    assert err == "error: complement --seed needs odd m, where the orbit graph is built; got m=4\n"
 
 
 def test_complement_even_m_builds_no_group(capsys, monkeypatch):
@@ -262,9 +272,17 @@ def test_seeded_out_files_keep_their_bytes(tmp_path, capsys, argv, digest):
          "50a9831b4f42e6517558d51572d8484487b18734bd7fb00786431973a708c4a2"),
         (["cover-table", "--m", "4", "--cover", "tilde"], None, 0,
          "077e8aee514e7d4047ff3a265386c1ceacc9e205f013a15b2614ac772730bdea", None),
+        (["complement", "--m", "5", "--orbits", "2", "--seed", "2", "--out", "out.json"], None, 0,
+         "10c217e9c26bfd0ccf6fb5230471849d18e98806fdebaa33b4d29ff0131f5ed1",
+         "03e6ec203c03ccc9b04eec824dcc7710c7920e3850f9650f428c29d35febf33c"),
+        (["supplement", "--m", "4", "--cover", "tilde", "--orbits", "3", "--seed", "9",
+          "--out", "out.json"], None, 0,
+         "0fff4ddcf93e83e69d95aacef06d632e86e7610ef3413cf682b95787ad7984ca",
+         "af34703202e2d6cdc9ec00ceb54969299bbf938db85704120b530e6673c4aa8b"),
     ],
     ids=["supplement-m2-hat-blocked", "supplement-m6-tilde-blocked", "supplement-m5-hat-out",
-         "complement-m4", "saturate-achieved", "saturate-not-achieved", "cover-table-m4"],
+         "complement-m4", "saturate-achieved", "saturate-not-achieved", "cover-table-m4",
+         "complement-m5-out", "supplement-m4-tilde-out"],
 )
 def test_reports_and_files_keep_their_bytes(
     tmp_path, capsys, monkeypatch, argv, graph_seed, code, report_digest, out_digest
@@ -758,7 +776,7 @@ FLAG_VALUES = {
     "--m": (["--m", "3", "--k", "2"], lambda doc: doc["params"] == {"m": 3, "k": 2}),
     "--k": (["--k", "2", "--m", "3"], lambda doc: doc["params"] == {"m": 3, "k": 2}),
 }
-UNREAD = {("complement-even", flag) for flag in ("--orbits", "--out")} | {
+UNREAD = {("complement-even", flag) for flag in ("--orbits", "--seed", "--out")} | {
     (branch, flag)
     for branch in ("supplement-odd-above", "supplement-even-above")
     for flag in ("--orbits", "--seed", "--out")

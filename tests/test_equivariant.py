@@ -1,8 +1,10 @@
 import copy
 import functools
+import hashlib
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -31,7 +33,6 @@ from coloursym.equivariant import (
     verify_colour_group,
 )
 from coloursym.graphs import (
-    colour_lookup,
     find_witness,
     is_colour_consistent,
     witness_queries,
@@ -53,8 +54,11 @@ from helpers import (
     associative_on_all_triples,
     bad_queries,
     colour_of,
+    colour_perms,
     graph_pairs,
     inconsistent_elements,
+    involutions_by_elements,
+    kernel_by_elements,
     phi_homomorphic_on_all_pairs,
     sym_group,
     table_from_all_products,
@@ -69,8 +73,8 @@ def test_group_from_perms_sym3():
     G = sym_group(3)
     assert G.size == 6
     assert G.m == 3
-    assert G.phi[0] == identity(3)
-    assert len(set(G.phi)) == 6  # faithful
+    assert colour_perms(G)[0] == identity(3)
+    assert len(set(colour_perms(G))) == 6  # faithful
 
 
 def test_group_from_perms_trivial():
@@ -98,8 +102,8 @@ def test_group_from_perms_rejects_unclosed():
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_group_from_perms_sym_matches_the_all_products_table(m):
     G = group_from_perms(reversed(enumerate_sym(m)))
-    assert G.phi == (identity(m), *sorted(enumerate_sym(m))[1:])
-    assert np.array_equal(G.mul, table_from_all_products(G.phi))
+    assert colour_perms(G) == [identity(m), *sorted(enumerate_sym(m))[1:]]
+    assert np.array_equal(G.mul, table_from_all_products(colour_perms(G)))
 
 
 def test_group_from_perms_proper_subgroup_matches_the_all_products_table():
@@ -107,14 +111,14 @@ def test_group_from_perms_proper_subgroup_matches_the_all_products_table():
     reflections = [(4, 3, 2, 1), (2, 1, 4, 3), (1, 4, 3, 2), (3, 2, 1, 4)]
     G = group_from_perms(rotations + reflections)  # dihedral, order 8, degree 4
     assert G.size == 8
-    assert np.array_equal(G.mul, table_from_all_products(G.phi))
+    assert np.array_equal(G.mul, table_from_all_products(colour_perms(G)))
 
 
 def test_group_from_perms_degree_above_fifteen_matches_the_all_products_table():
     cyclic = [tuple((i + k) % 17 + 1 for i in range(17)) for k in range(17)]
     G = group_from_perms(cyclic)  # the powers of a 17-cycle
     assert (G.size, G.m, G.gens) == (17, 17, (1,))
-    assert np.array_equal(G.mul, table_from_all_products(G.phi))
+    assert np.array_equal(G.mul, table_from_all_products(colour_perms(G)))
 
 
 @pytest.mark.parametrize("kind", list(CoverKind))
@@ -133,9 +137,10 @@ def test_cayley_table_fills_columns_along_the_steps():
 
 def test_multiplication_matches_composition():
     G = sym_group(3)
-    for i, p in enumerate(G.phi):
-        for j, q in enumerate(G.phi):
-            assert G.phi[G.product(i, j)] == compose(p, q)
+    perms = colour_perms(G)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            assert perms[G.product(i, j)] == compose(p, q)
 
 
 def test_sym4_constructs_and_agrees_with_the_oracles():
@@ -159,9 +164,9 @@ def test_constructor_rejects_a_corrupted_sym3_entry():
 
 def test_constructor_rejects_a_phi_that_is_not_a_homomorphism():
     G = sym_group(3)
-    phi = list(G.phi)
+    phi = colour_perms(G)
     phi[1], phi[2] = phi[2], phi[1]
-    assert not is_phi_homomorphism(G.mul, colour_lookup(phi), generators(G.mul))
+    assert not is_phi_homomorphism(G.mul, np.array(phi), generators(G.mul))
     assert not phi_homomorphic_on_all_pairs(G.mul, phi)
     with pytest.raises(ValueError, match="not a homomorphism"):
         FiniteGroup(G.mul, tuple(phi))
@@ -176,9 +181,10 @@ def test_finite_group_derives_size_m_inverses_and_generators():
     assert generators(G.mul) == (1, 2)
     for g in range(6):
         assert G.product(g, G.inverse_of(g)) == G.product(G.inverse_of(g), g) == 0
-        assert G.phi[G.inverse_of(g)] == inverse(G.phi[g])
-    assert np.array_equal(G.phi_table, colour_lookup(G.phi))
-    assert not G.mul.flags.writeable and not G.inv.flags.writeable
+        assert colour_perms(G)[G.inverse_of(g)] == inverse(colour_perms(G)[g])
+    assert (G.phi.shape, G.phi.dtype) == ((6, 3), np.uint8)
+    for table in (G.mul, G.inv, G.phi):
+        assert not table.flags.writeable
 
 
 def test_finite_group_tables_are_row_major():
@@ -206,9 +212,58 @@ def test_finite_group_constructor_validation():
     with pytest.raises(ValueError, match="every element"):
         FiniteGroup(G.mul, G.phi[:5])
     with pytest.raises(ValueError, match="permutation"):
-        FiniteGroup(G.mul, G.phi[:5] + ((1, 1, 2),))
+        FiniteGroup(G.mul, colour_perms(G)[:5] + [(1, 1, 2)])
     with pytest.raises(ValueError, match="act trivially"):
         FiniteGroup([[0, 1], [1, 0]], ((2, 1), (1, 2)))
+
+
+def sym3_rows(**rows) -> list:
+    """The colour rows of Sym(3) with row g replaced by rows[f"r{g}"]."""
+    return [rows.get(f"r{g}", p) for g, p in enumerate(colour_perms(sym_group(3)))]
+
+
+@pytest.mark.parametrize(
+    "phi, message",
+    [
+        (sym3_rows()[:5], "phi must assign a colour permutation to every element"),
+        (sym3_rows() + [(1, 2, 3)], "phi must assign a colour permutation to every element"),
+        (np.array(sym3_rows(), dtype=float), "phi[0] is not a permutation of 1..3"),
+        ([[True] * 3] * 6, "phi[0] is not a permutation of 1..3"),
+        (sym3_rows(r4=(1.0, 2.0, 3.0)), "phi[4] is not a permutation of 1..3"),
+        (sym3_rows(r3=(1, 2)), "phi[3] is not a permutation of 1..3"),
+        (sym3_rows(r3=(1, 2, 3, 4)), "phi[3] is not a permutation of 1..3"),
+        (sym3_rows(r2=(0, 1, 2)), "phi[2] is not a permutation of 1..3"),
+        (sym3_rows(r2=(1, 2, 4)), "phi[2] is not a permutation of 1..3"),
+        (sym3_rows(r5=(1, 1, 2)), "phi[5] is not a permutation of 1..3"),
+        (sym3_rows(r5=(10**30, 1, 2)), "phi[5] is not a permutation of 1..3"),
+        (sym3_rows(r2=(1, 1, 2), r4=(1, 2)), "phi[2] is not a permutation of 1..3"),
+        (sym3_rows(r2=(3, 3, 3), r4=(3, 3, 3)), "phi[2] is not a permutation of 1..3"),
+        (sym3_rows(r0=(2, 1, 3), r2=(1, 2, 3)), "the identity must act trivially on colours"),
+    ],
+    ids=[
+        "too-few-rows", "too-many-rows", "float-array", "bool-rows", "float-row", "short-row",
+        "long-row", "image-zero", "image-above-m", "repeated-image", "huge-image",
+        "bad-row-before-short-row", "two-bad-rows", "moved-identity",
+    ],
+)
+def test_constructor_names_the_first_bad_colour_row(phi, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FiniteGroup(sym_group(3).mul, phi)
+
+
+def test_the_colour_action_is_one_read_only_uint8_array():
+    assert np.array_equal(FiniteGroup(sym_group(3).mul, sym3_rows()).phi, sym3_rows())
+    trivial = FiniteGroup(mul=np.zeros((1, 1), dtype=np.int32), phi=((),))  # m = 0
+    assert trivial.m == 0 and trivial.phi.shape == (1, 0) and trivial.phi.dtype == np.uint8
+    assert trivial.to_json_dict()["phi"] == [[]] and trivial.kernel() == (0,)
+    with pytest.raises(ValueError, match=re.escape("phi[1] is not a permutation of 1..0")):
+        FiniteGroup([[0, 1], [1, 0]], ((), (1,)))
+    with pytest.raises(ValueError, match="degree 256 exceed the limit of 255"):
+        FiniteGroup([[0]], (tuple(range(1, 257)),))
+    rows = np.array(sym3_rows())
+    G = FiniteGroup(sym_group(3).mul, rows)
+    rows[1] = rows[2]  # the group keeps its own copy
+    assert colour_perms(G) == sym3_rows()
 
 
 def test_finite_group_json_roundtrip():
@@ -242,7 +297,7 @@ def test_the_order_5_loop_is_not_a_group():
 
 def test_pair_colouring_base_of_transposition_is_forced():
     G = sym_group(3)
-    lbl = G.phi.index((2, 1, 3))  # the transposition (1 2)
+    lbl = colour_perms(G).index((2, 1, 3))  # the transposition (1 2)
     for seed in range(10):
         f = build_pair_colouring(G, seed)
         assert f.base[lbl] == 3  # the unique colour (1 2) fixes
@@ -251,9 +306,9 @@ def test_pair_colouring_base_of_transposition_is_forced():
 def test_pair_colouring_inverse_constraint():
     G = sym_group(3)
     f = build_pair_colouring(G, 5)
-    y = G.phi.index((2, 3, 1))
+    y = colour_perms(G).index((2, 3, 1))
     yi = G.inverse_of(y)
-    assert G.phi[yi] == (3, 1, 2)
+    assert colour_perms(G)[yi] == (3, 1, 2)
     assert f.base[yi] == apply(G.phi[yi], f.base[y])
 
 
@@ -269,7 +324,7 @@ def test_pair_colouring_validate_rejects_broken_base():
     G = sym_group(3)
     f = build_pair_colouring(G, 0)
     base = list(f.base)
-    y = G.phi.index((2, 3, 1))
+    y = colour_perms(G).index((2, 3, 1))
     base[y] = base[y] % 3 + 1
     with pytest.raises(ValueError, match=f"base colours of {y} and its inverse"):
         PairColouring(group=G, base=tuple(base))
@@ -357,6 +412,14 @@ def test_make_orbit_spec_deterministic():
     assert make_sym3_spec(3, 5).inter == make_sym3_spec(3, 5).inter
 
 
+def test_make_orbit_spec_keeps_its_bytes():
+    # pins the Sym(3) labels, the seeded base colours and the cross-orbit draws
+    text = make_sym3_spec(2, seed=6).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "fe95e38285a1120b1ea62c94a0634cfe2f50db14c9d16f0e57ae78e717de5bc2"
+    )
+
+
 def test_make_orbit_spec_draws_what_randrange_draws():
     # one colour stream gives rng.randrange(m) + 1 per value, map by map in (i, j) order
     for G in (sym_group(3), enumerate_cover(4, CoverKind.HAT).group):
@@ -435,14 +498,14 @@ def test_verify_colour_group_sym3():
     assert report.all_consistent
     assert report.kernel == (0,)
     assert report.kernel_size == 1
-    assert report.passed
 
 
 def test_colour_check_in_row_blocks_matches_one_pass(monkeypatch):
     spec = make_sym3_spec(2)
     graph = assemble_orbit_graph(spec)
     C, G = graph.colours, spec.group
-    cases = [(action_vertex_perm(spec, g), G.phi[h]) for g in range(6) for h in range(6)]
+    perms = colour_perms(G)
+    cases = [(action_vertex_perm(spec, g), perms[h]) for g in range(6) for h in range(6)]
 
     def one_pass(s, pi):
         sv = np.array(s) - 1
@@ -459,7 +522,7 @@ def test_verify_colour_group_trivial_group():
     f = build_pair_colouring(G, 0)
     spec = make_orbit_spec(G, f, 1, 0)
     report = verify_colour_group(spec)
-    assert report.passed and report.kernel_size == 1
+    assert report.all_consistent and report.kernel_size == 1
 
 
 def test_verify_colour_group_checks_the_generators():
@@ -467,7 +530,7 @@ def test_verify_colour_group_checks_the_generators():
     report = verify_colour_group(spec)
     assert report.checked == spec.group.gens == (2, 3)  # (1 2) and (1 2 3)
     assert report.argument == "generators + homomorphism"
-    assert report.passed
+    assert report.all_consistent
     assert report.graph == assemble_orbit_graph(spec)
     assert inconsistent_elements(spec) == ()
 
@@ -512,7 +575,7 @@ def test_two_proposed_generators_generate_each_cover_and_sym():
     groups += [(m, symmetric_group(m)) for m in (4, 5, 6, 7)]
     for m, G in groups:
         assert G.gens == G.proposed and len(G.gens) == 2, (m, G)
-        swap, rotation = (G.phi[g] for g in G.gens)
+        swap, rotation = (colour_perms(G)[g] for g in G.gens)
         assert swap == transposition(m, 1, 2) and rotation in cycle_of[m]
         assert len(closure(G, G.gens)) == G.size
 
@@ -535,13 +598,20 @@ def test_short_or_missing_proposals_are_completed_greedily():
     H = FiniteGroup.from_json_dict(S4.to_json_dict())
     assert H.proposed == () and H.gens == generators(S4.mul) == (1, 2, 6)
     # one proposed label, and one that is already reached, are completed greedily
-    swap = S4.phi.index(transposition(4, 1, 2))
+    swap = colour_perms(S4).index(transposition(4, 1, 2))
     assert FiniteGroup(S4.mul, S4.phi, proposed=(swap,)).gens == greedy_after(S4, (swap,))
     assert greedy_after(S4, (swap,))[0] == swap
     assert greedy_after(S4, (0, swap, swap)) == greedy_after(S4, (swap,))
     for bad in ((24,), (-1,), (1.0,), (True,)):
         with pytest.raises(ValueError, match="proposed"):
             FiniteGroup(S4.mul, S4.phi, proposed=bad)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_sym_readers_match_the_label_by_label_oracles(m):
+    G = symmetric_group(m)
+    assert G.kernel() == kernel_by_elements(G) == (0,)
+    assert G.involutions() == involutions_by_elements(G)
 
 
 def test_trivial_group_has_no_generators():
@@ -602,7 +672,7 @@ def test_one_recoloured_edge_of_the_m5_orbit_graph_is_caught(monkeypatch):
     monkeypatch.setattr(equivariant, "assemble_orbit_graph", lambda spec: broken)
     report = verify_colour_group(spec)
     assert report.inconsistent
-    assert not report.all_consistent and not report.passed
+    assert not report.all_consistent
 
 
 def test_associativity_defect_in_240_element_table_is_caught(monkeypatch):
@@ -615,7 +685,7 @@ def test_associativity_defect_in_240_element_table_is_caught(monkeypatch):
     assert v not in (0, neg) and y != G.inv[x]
     mul[x, y] = mul[v, neg]  # -v: the same colour action, so phi stays a homomorphism
     gens = generators(mul)
-    assert is_phi_homomorphism(mul, G.phi_table, gens)
+    assert is_phi_homomorphism(mul, G.phi, gens)
     assert not is_associative(mul, gens)
     monkeypatch.setattr(graphs, "ROW_BLOCK_ENTRIES", 7 * G.size)  # 7-row blocks
     assert is_associative(G.mul, G.gens)
@@ -632,7 +702,7 @@ def test_corrupted_phi_entry_is_caught():
     # colour 4, so each generator passes the colour check whatever phi says
     # and only the homomorphism check can see a broken phi
     S3 = sym_group(3)
-    phi = [p + (4,) for p in S3.phi]
+    phi = [p + (4,) for p in colour_perms(S3)]
     G = FiniteGroup(S3.mul, tuple(phi))
     assert G.gens == (1, 2) and G.m == 4
     phi[5] = phi[1]
@@ -643,7 +713,7 @@ def test_corrupted_phi_entry_is_caught():
     assert all(
         is_colour_consistent(report.graph, action_vertex_perm(spec, a), phi[a]) for a in G.gens
     )
-    assert not is_phi_homomorphism(S3.mul, colour_lookup(phi), G.gens)
+    assert not is_phi_homomorphism(S3.mul, np.array(phi), G.gens)
     assert not phi_homomorphic_on_all_pairs(S3.mul, phi)
     with pytest.raises(ValueError, match="not a homomorphism"):
         FiniteGroup(S3.mul, tuple(phi))
@@ -700,7 +770,7 @@ def test_verify_after_witness_orbits():
     spec = add_witness_orbit(spec, ((0, 1, 2), (1, 2, 3)))
     spec = add_witness_orbit(spec, ((0, 8), (3, 1)))
     report = verify_colour_group(spec)
-    assert report.passed and report.kernel_size == 1
+    assert report.all_consistent and report.kernel_size == 1
 
 
 # -- the full odd-palette pipeline ---------------------------------------------

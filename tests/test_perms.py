@@ -19,10 +19,11 @@ from coloursym.perms import (
     from_cycles,
     identity,
     inverse,
-    is_involution,
     is_perm,
     transposition,
 )
+
+from helpers import is_involution
 
 perms_of = lambda d: st.permutations(list(range(1, d + 1))).map(tuple)
 

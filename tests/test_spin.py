@@ -15,7 +15,6 @@ from coloursym.perms import (
     enumerate_sym,
     from_cycles,
     identity,
-    is_involution,
     transposition,
 )
 from coloursym.spin import (
@@ -42,7 +41,12 @@ from coloursym.spin import (
 
 from helpers import (
     associative_on_all_triples,
+    blocking_by_elements,
+    colour_perms,
     cover_index,
+    involutions_by_elements,
+    is_involution,
+    kernel_by_elements,
     phi_homomorphic_on_all_pairs,
     pin_inverse,
     project,
@@ -242,7 +246,7 @@ def test_project_matches_cover_phi():
     for kind in (TILDE, HAT):
         cover = enumerate_cover(3, kind)
         for g, x in enumerate(cover.elements):
-            assert project(x) == cover.group.phi[g]
+            assert project(x) == colour_perms(cover.group)[g]
 
 
 def test_project_rejects_non_group_elements():
@@ -353,8 +357,8 @@ def test_cover_two_lifts_per_permutation():
     for kind in (TILDE, HAT):
         cover = enumerate_cover(3, kind)
         counts: dict = {}
-        for g in range(cover.group.size):
-            counts[cover.group.phi[g]] = counts.get(cover.group.phi[g], 0) + 1
+        for p in colour_perms(cover.group):
+            counts[p] = counts.get(p, 0) + 1
         assert set(counts.values()) == {2}
         index = cover_index(cover)
         for p in enumerate_sym(3):
@@ -375,8 +379,7 @@ def test_cover_order_histogram_matches_direct_oracle():
 def test_cover_involution_squares_are_central():
     cover = enumerate_cover(4, TILDE)
     one, neg = 0, cover.neg_unit_label
-    for g in range(cover.group.size):
-        p = cover.group.phi[g]
+    for g, p in enumerate(colour_perms(cover.group)):
         if p == identity(4) or is_involution(p):
             sq = cover.group.product(g, g)
             assert sq in (one, neg)
@@ -403,7 +406,8 @@ def cover_fields_sha256(cover: SpinCover) -> str:
     """The exponents, projections and label of -1 as JSON, then the shape and
     little-endian int64 values of the blade rows and the multiplication table."""
     digest = hashlib.sha256()
-    digest.update(json.dumps([cover.exponents, cover.group.phi, cover.neg_unit_label]).encode())
+    fields = [cover.exponents, cover.group.phi.tolist(), cover.neg_unit_label]
+    digest.update(json.dumps(fields).encode())
     for table in (cover.rows, cover.group.mul):
         digest.update(repr(table.shape).encode())
         digest.update(np.ascontiguousarray(table, dtype="<i8").tobytes())
@@ -565,6 +569,15 @@ def test_blocking_involutions_cycle_type():
     assert blockers
     for g in blockers:
         assert cycle_type(cover.group.phi[g]) == (2, 2, 2)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_cover_readers_match_the_label_by_label_oracles(m):
+    for kind in (TILDE, HAT):
+        cover = enumerate_cover(m, kind)
+        assert cover.group.kernel() == kernel_by_elements(cover.group)
+        assert cover.group.involutions() == involutions_by_elements(cover.group)
+        assert blocking_involutions(cover) == blocking_by_elements(cover)
 
 
 def test_supplement_condition_direct_agrees_with_enumeration():
